@@ -242,10 +242,11 @@ def main(argv: list[str] | None = None) -> int:
         "--lease-lane",
         choices=("on", "off"),
         default="on",
-        help="for 'scale': keep periodic lease timers in the vectorized "
-        "struct-of-arrays lane ('on', default) or as individual wheel "
-        "events ('off', the PR 6 engine); effective only with "
-        "--admission batch on the wheel scheduler",
+        help="for 'scale' with --pool-policy queue: keep periodic lease "
+        "timers in the vectorized struct-of-arrays lane ('on', default) "
+        "or run the hop-virtualized batch kernel ('off'); effective only "
+        "with --admission batch on the wheel scheduler (cold and hybrid "
+        "runs always take the batch kernel)",
     )
     parser.add_argument(
         "--profile",

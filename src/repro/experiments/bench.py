@@ -349,25 +349,37 @@ def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
     return out
 
 
-#: The three scale engines every scale bench compares: the per-event
-#: heap referee (PR 4/5), the PR 6 batch kernel with leases as wheel
-#: events, and the lease-lane kernel (leases as struct-of-arrays slabs).
+#: The three scale engines every queue-policy scale bench compares: the
+#: per-event heap referee, the hop-virtualized batch kernel, and the
+#: lease-lane kernel (leases as struct-of-arrays slabs).
 _SCALE_CONFIGS = (
     ("heap", "heap", "per-event", "off"),
     ("wheel_nolane", "wheel", "batch", "off"),
     ("wheel", "wheel", "batch", "on"),
 )
 
+#: The two engines of the cold-start benches: cold and hybrid runs take
+#: the batch kernel whatever ``lease_lane`` says, so the per-event heap
+#: referee and the batch kernel are the whole comparison ("off" keeps
+#: the queue policy on the batch kernel too).
+_COLD_CONFIGS = (
+    ("heap", "heap", "per-event", "off"),
+    ("wheel", "wheel", "batch", "off"),
+)
 
-def _scale_three_way(
-    label: str, quick: bool = False, overrides: Optional[dict[str, Any]] = None
+
+def _scale_engines(
+    label: str,
+    quick: bool = False,
+    overrides: Optional[dict[str, Any]] = None,
+    configs: tuple = _SCALE_CONFIGS,
 ) -> dict[str, dict[str, Any]]:
-    """Run the heap referee, lane-off and lane-on engines, each in its
-    own forked process (peak RSS is a process-lifetime high-water mark,
-    so sharing a process would let one run's footprint mask another's).
+    """Run each engine of *configs* in its own forked process (peak RSS
+    is a process-lifetime high-water mark, so sharing a process would
+    let one run's footprint mask another's).
     """
     runs: dict[str, dict[str, Any]] = {}
-    for key, scheduler, admission, lane in _SCALE_CONFIGS:
+    for key, scheduler, admission, lane in configs:
         kwargs: dict[str, Any] = {
             "scheduler": scheduler,
             "quick": quick,
@@ -392,16 +404,16 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
     """Three engines on the open-loop scale scenario (the tentpole bench).
 
     The heap side runs the PR 4/5 engine verbatim (per-event
-    ``timeout()`` admission); ``wheel_nolane`` is the PR 6 engine
-    (vectorized batch admission, leases as wheel events); ``wheel`` is
-    the PR 7 lease-lane engine.  The simulated outputs must be
+    ``timeout()`` admission); ``wheel_nolane`` is the batch kernel
+    (vectorized batch admission, hop-virtualized leases); ``wheel`` is
+    the lease-lane engine.  The simulated outputs must be
     bit-identical across all three (``bit_identical``); the headline
     ``speedup`` is heap wall clock / lane-on wall clock, and
     ``lane_speedup`` isolates the lane itself (lane-off / lane-on).
     ``rss_ratio_vs_nolane`` guards the acceptance bound that the lane
     must not buy speed with footprint.
     """
-    runs = _scale_three_way("scale", quick=quick)
+    runs = _scale_engines("scale", quick=quick)
     heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
     record = {
         "heap": heap,
@@ -434,10 +446,8 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
 _COLD_POLICIES = ("queue", "cold", "hybrid")
 
 #: Shared cold scenario knobs: the MITOSIS-style remote-fork start
-#: model (~1 ms spawn), idle-reclaim off -- the commuting regime where
-#: the cold lane runs its whole-backlog slab kernel (the headline
-#: speedup).  The reclaim path is covered by a secondary record at a
-#: short keepalive (see ``bench_coldstart``).
+#: model (~1 ms spawn), idle-reclaim off.  The reclaim path is covered
+#: by a secondary record at a short keepalive (see ``bench_coldstart``).
 _COLD_SCENARIO = {
     "start_model": "remote-fork",
     "keepalive_ns": 0,
@@ -445,7 +455,7 @@ _COLD_SCENARIO = {
 }
 
 #: Secondary scenario: a short keepalive so reclaim expiries both
-#: succeed and lose races -- exercises the strict-interleave kernel.
+#: succeed and lose races.
 _COLD_RECLAIM_KEEPALIVE_NS = 5_000_000
 
 
@@ -454,26 +464,23 @@ def bench_coldstart(
     overrides: Optional[dict[str, Any]] = None,
     spectrum: bool = True,
 ) -> dict[str, Any]:
-    """The cold-start engine: three engines x three pool policies.
+    """The cold-start engine: two engines x three pool policies.
 
-    Per policy this is the same forked three-way as :func:`bench_scale`
-    (per-event heap referee, batch lane-off, cold-lane wheel) with the
-    dry-pool cold-start path enabled; fingerprints must agree across
-    all nine runs (``bit_identical``).  The headline ``speedup`` is the
-    heap referee over the cold-lane wheel *under the cold policy* --
-    the engine the tentpole adds -- and ``rss_ratio_vs_heap`` guards
-    that the cold lane does not buy speed with footprint.
+    Per policy this forks the per-event heap referee and the batch
+    kernel on the wheel with the dry-pool cold-start path enabled;
+    fingerprints must agree across all six runs (``bit_identical``).
+    The headline ``speedup`` is the heap referee over the batch kernel
+    *under the cold policy*, and ``rss_ratio_vs_heap`` guards that the
+    kernel does not buy speed with footprint.
 
     ``spectrum`` additionally folds in the :mod:`coldstart` experiment
     sweep (pool size x start model x arrival shape) so the trajectory
     file records cold fraction, p99 sojourn and executor-seconds per
     spectrum point, not just engine wall clocks.
 
-    The headline scenario runs with keepalive 0 (the commuting slab
-    kernel); a secondary ``reclaim`` record re-runs the cold policy at
-    a short keepalive to cover the strict-interleave kernel -- its
-    guard is bit-identity plus live reclaim traffic, not the 3x bound
-    (reclaims force scalar interleaving by construction).
+    The headline scenario runs with keepalive 0; a secondary
+    ``reclaim`` record re-runs the cold policy at a short keepalive --
+    its guard is bit-identity plus live reclaim traffic.
     """
     from repro.experiments.coldstart import QUICK_KWARGS as COLD_QUICK
     from repro.experiments.coldstart import executor_seconds, run_coldstart
@@ -486,30 +493,25 @@ def bench_coldstart(
             # The paper-scale default pool (2^20 slots) exceeds the
             # 10^6 total arrivals, so it can never run dry; the cold
             # bench needs a pool that saturates (the mid spectrum
-            # point), or all nine runs measure the queue path.
+            # point), or every run measures the queue path.
             scenario["workers"] = 1 << 14
         if overrides:
             scenario.update(overrides)
-        runs = _scale_three_way(f"coldstart[{policy}]", quick=quick, overrides=scenario)
-        heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+        runs = _scale_engines(
+            f"coldstart[{policy}]", quick=quick, overrides=scenario, configs=_COLD_CONFIGS
+        )
+        heap, wheel = runs["heap"], runs["wheel"]
         fp = wheel["fingerprint"]
         policies[policy] = {
             "heap": heap,
-            "wheel_nolane": nolane,
             "wheel": wheel,
             "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-            "lane_speedup": (
-                nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0
-            ),
             "rss_ratio_vs_heap": (
                 wheel["peak_rss_bytes"] / heap["peak_rss_bytes"]
                 if heap["peak_rss_bytes"]
                 else 0.0
             ),
-            "bit_identical": (
-                heap["fingerprint"] == wheel["fingerprint"]
-                and nolane["fingerprint"] == wheel["fingerprint"]
-            ),
+            "bit_identical": heap["fingerprint"] == fp,
             "cold_starts": fp["cold_starts"],
             "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
             "cold_reclaimed": fp["cold_reclaimed"],
@@ -530,7 +532,6 @@ def bench_coldstart(
         "keepalive_ns": _COLD_SCENARIO["keepalive_ns"],
         "invocations": cold["wheel"]["invocations"],
         "speedup": cold["speedup"],
-        "lane_speedup": cold["lane_speedup"],
         "rss_ratio_vs_heap": cold["rss_ratio_vs_heap"],
         "cold_fraction": cold["cold_fraction"],
         "p99_ns": cold["p99_ns"],
@@ -539,21 +540,10 @@ def bench_coldstart(
         "peak_rss_bytes": max(
             r["peak_rss_bytes"]
             for p in policies.values()
-            for r in (p["heap"], p["wheel_nolane"], p["wheel"])
+            for r in (p["heap"], p["wheel"])
         ),
     }
-    occupancy = cold["wheel"]["occupancy"]
-    record.update(
-        {
-            "cold_entries_peak": int(occupancy.get("cold_entries_peak", 0)),
-            "cold_slabs": int(occupancy.get("cold_slabs", 0)),
-            "cold_max_slab": int(occupancy.get("cold_max_slab", 0)),
-            "cold_scalar_fires": int(occupancy.get("cold_scalar_fires", 0)),
-            "cold_spinups": int(occupancy.get("cold_spinups", 0)),
-            "cold_reclaim_fires": int(occupancy.get("cold_reclaim_fires", 0)),
-        }
-    )
-    # Secondary record: idle-reclaim on (strict-interleave kernel).
+    # Secondary record: idle-reclaim on.
     reclaim_scenario = dict(_COLD_SCENARIO)
     reclaim_scenario["pool_policy"] = "cold"
     reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
@@ -562,18 +552,15 @@ def bench_coldstart(
     if overrides:
         reclaim_scenario.update(overrides)
         reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
-    reruns = _scale_three_way(
-        "coldstart[reclaim]", quick=quick, overrides=reclaim_scenario
+    reruns = _scale_engines(
+        "coldstart[reclaim]", quick=quick, overrides=reclaim_scenario, configs=_COLD_CONFIGS
     )
     rheap, rwheel = reruns["heap"], reruns["wheel"]
     rfp = rwheel["fingerprint"]
     record["reclaim"] = {
         "keepalive_ns": _COLD_RECLAIM_KEEPALIVE_NS,
         "speedup": rheap["wall_s"] / rwheel["wall_s"] if rwheel["wall_s"] else 0.0,
-        "bit_identical": (
-            rheap["fingerprint"] == rfp
-            and reruns["wheel_nolane"]["fingerprint"] == rfp
-        ),
+        "bit_identical": rheap["fingerprint"] == rfp,
         "cold_starts": rfp["cold_starts"],
         "cold_reclaimed": rfp["cold_reclaimed"],
         "cold_retained": rfp["cold_retained"],
@@ -613,29 +600,27 @@ COLD_TEN_MILLION_KWARGS = {
 def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     """10^7 cold-start invocations, cold policy only: the stress run.
 
-    Same three-way shape as :func:`bench_coldstart` for the cold
-    policy; ``within_rss_guard`` asserts the cold-lane engine's peak
-    RSS stays within *max_rss_growth* of the per-event heap referee on
-    the same scenario.
+    Same two-way shape as :func:`bench_coldstart` for the cold policy;
+    ``within_rss_guard`` asserts the batch kernel's peak RSS stays
+    within *max_rss_growth* of the per-event heap referee on the same
+    scenario.
     """
     from repro.experiments.coldstart import executor_seconds
 
     scenario = dict(_COLD_SCENARIO)
     scenario["pool_policy"] = "cold"
     scenario.update(COLD_TEN_MILLION_KWARGS)
-    runs = _scale_three_way("coldstart10m", overrides=scenario)
-    heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+    runs = _scale_engines("coldstart10m", overrides=scenario, configs=_COLD_CONFIGS)
+    heap, wheel = runs["heap"], runs["wheel"]
     fp = wheel["fingerprint"]
     rss_ratio = (
         wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
     )
     return {
         "heap": heap,
-        "wheel_nolane": nolane,
         "wheel": wheel,
         "invocations": wheel["invocations"],
         "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "lane_speedup": nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
         "cold_starts": fp["cold_starts"],
         "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
         "p99_ns": fp["latency_p99_ns"],
@@ -647,10 +632,7 @@ def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
             scenario["keepalive_ns"],
         ),
         "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-        "bit_identical": (
-            heap["fingerprint"] == wheel["fingerprint"]
-            and nolane["fingerprint"] == wheel["fingerprint"]
-        ),
+        "bit_identical": heap["fingerprint"] == fp,
         "rss_ratio_vs_heap": rss_ratio,
         "max_rss_growth": max_rss_growth,
         "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
@@ -868,7 +850,7 @@ def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     (*max_rss_growth*) of the per-event heap baseline on the *same*
     scenario -- the lane must not buy speed with footprint.
     """
-    runs = _scale_three_way("scale10m", overrides=TEN_MILLION_KWARGS)
+    runs = _scale_engines("scale10m", overrides=TEN_MILLION_KWARGS)
     heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
     rss_ratio = (
         wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
@@ -1251,8 +1233,8 @@ def check_regression(
                 f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
             )
     # The cold-start engine's correctness guard: a wrong fast answer is
-    # not a perf win, so fingerprint divergence between the cold lane
-    # and the per-event referee fails outright.  The cold-start
+    # not a perf win, so fingerprint divergence between the batch
+    # kernel and the per-event referee fails outright.  The cold-start
     # *fraction* is guarded too: on the pinned quick scenario it is a
     # deterministic output, so a fraction ballooning past 4x the
     # baseline means the warm-pool accounting broke (slots leaking,
@@ -1263,13 +1245,13 @@ def check_regression(
     current_cold = results.get("coldstart")
     if isinstance(current_cold, dict) and current_cold.get("bit_identical") is False:
         problems.append(
-            "coldstart: cold-lane and per-event referee fingerprints diverged"
+            "coldstart: batch kernel and per-event referee fingerprints diverged"
         )
     if isinstance(current_cold, dict):
         reclaim = current_cold.get("reclaim")
         if isinstance(reclaim, dict) and reclaim.get("bit_identical") is False:
             problems.append(
-                "coldstart.reclaim: strict-interleave kernel diverged from "
+                "coldstart.reclaim: batch kernel diverged from "
                 "the per-event referee under keepalive"
             )
     if isinstance(base_cold, dict) and isinstance(current_cold, dict):
@@ -1285,11 +1267,11 @@ def check_regression(
     if isinstance(current_cold_10m, dict):
         if current_cold_10m.get("bit_identical") is False:
             problems.append(
-                "coldstart_10m: cold-lane and per-event referee fingerprints diverged"
+                "coldstart_10m: batch kernel and per-event referee fingerprints diverged"
             )
         if current_cold_10m.get("within_rss_guard") is False:
             problems.append(
-                "coldstart_10m: cold-lane peak RSS is "
+                "coldstart_10m: batch kernel peak RSS is "
                 f"{current_cold_10m.get('rss_ratio_vs_heap', 0.0):.2f}x the per-event "
                 "heap referee, beyond the allowed "
                 f"{1.0 + float(current_cold_10m.get('max_rss_growth', 0.0)):.2f}x"
@@ -1496,15 +1478,14 @@ def show(results: dict[str, Any]) -> None:
         cold = coldstart["policies"]["cold"]
         print(
             "coldstart: {invocations:,} invocations (cold policy, {model})  "
-            "heap {heap_s:.1f}s -> cold lane {wheel_s:.1f}s  ({speedup:.2f}x, "
-            "lane {lane_speedup:.2f}x, cold fraction {cold_fraction:.1%}, "
+            "heap {heap_s:.1f}s -> batch kernel {wheel_s:.1f}s  ({speedup:.2f}x, "
+            "cold fraction {cold_fraction:.1%}, "
             "RSS {rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
                 invocations=coldstart["invocations"],
                 model=coldstart["start_model"],
                 heap_s=cold["heap"]["wall_s"],
                 wheel_s=cold["wheel"]["wall_s"],
                 speedup=coldstart["speedup"],
-                lane_speedup=coldstart["lane_speedup"],
                 cold_fraction=coldstart["cold_fraction"],
                 rss_ratio=coldstart["rss_ratio_vs_heap"],
                 bit_identical=coldstart["bit_identical"],
@@ -1538,7 +1519,7 @@ def show(results: dict[str, Any]) -> None:
     if cold_stress:
         print(
             "coldstart_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "cold lane {wheel_s:.1f}s  ({speedup:.2f}x, cold fraction "
+            "batch kernel {wheel_s:.1f}s  ({speedup:.2f}x, cold fraction "
             "{cold_fraction:.1%}, RSS {rss_ratio:.2f}x heap [guard {guard}], "
             "bit_identical={bit_identical})".format(
                 invocations=cold_stress["invocations"],

@@ -20,9 +20,10 @@ small pool + remote-fork buys Docker-pool tail latency at a fraction
 of the executor-seconds, while a Docker cold path needs a pool ~the
 full concurrency to hide its 2.7 s spawns.
 
-Engine notes: every point runs the wheel scheduler's vectorized cold
-lane (see :mod:`repro.sim.wheel`); ``verify=True`` replays each point
-on the per-event heap referee and records bit-identity.  Profiling a
+Engine notes: every point runs the hop-virtualized batch kernel on the
+wheel scheduler (see :mod:`repro.experiments.scale`); ``verify=True``
+replays each point on the per-event heap referee and records
+bit-identity.  Profiling a
 sweep is refused with a pointer at the single-run path -- see
 ``--profile`` on the ``scale`` experiment, which covers the cold
 driver (``scale --pool-policy cold --profile``).
@@ -167,11 +168,9 @@ def run_coldstart(
     replays each point on the per-event heap referee and asserts the
     fingerprints agree (recorded per point, raising on mismatch).
 
-    ``keepalive_ns`` defaults to 0 -- no idle-reclaim, the regime where
-    spin-up fires commute and the wheel engine runs its whole-backlog
-    slab kernel (see ``scale``).  Pass a positive keepalive to let the
-    pool breathe under bursty/diurnal shapes; those runs take the
-    strict-interleave kernel, still bit-identical to the referee.
+    ``keepalive_ns`` defaults to 0 -- no idle-reclaim.  Pass a positive
+    keepalive to let the pool breathe under bursty/diurnal shapes;
+    those runs stay bit-identical to the referee too.
     """
     if profile:
         raise ValueError(

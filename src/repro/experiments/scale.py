@@ -22,11 +22,13 @@ Model -- an open-loop generator over a warm executor pool:
 * **Leases**: every running invocation holds a lease on its slot and
   re-validates it every ``lease_check_interval_ns`` (Sec. III-E: leased
   resources are periodically re-checked rather than centrally tracked).
-  The lease timer is one :class:`~repro.sim.events.Timeout` *reused*
-  across renewals -- re-armed in place via ``schedule_timeout`` -- so a
-  400 ms invocation costs ~8 scheduler operations and zero per-renewal
-  allocations.  The final re-arm lands exactly on the finish time, so
-  sojourn times are exact, not quantized to the check interval.
+  A lease's finish is fixed at dispatch, so the renewal checks are pure
+  bookkeeping: the per-event referees walk them as a hop chain beside
+  one completion event at the exact finish time, and the fast kernels
+  schedule only that completion and count the checks in closed form
+  (``(service - 1) // interval`` per lease).  A fast-path dispatch
+  therefore costs one scheduler insert, and sojourn times are exact,
+  not quantized to the check interval.
 
 Implementation notes (this file is itself a hot loop):
 
@@ -85,7 +87,7 @@ import gc
 import resource
 import time
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
@@ -155,12 +157,13 @@ class ScaleConfig:
     #: "per-event" drives one ``timeout()`` per arrival (the PR 4/5
     #: baseline the bit-identity contract is checked against).
     admission: str = "batch"
-    #: Lease-lane engine: "on" (default) keeps periodic lease timers in
-    #: the struct-of-arrays :class:`~repro.sim.wheel.LeaseLane` and
-    #: drains them in vectorized slabs; "off" re-arms them through the
-    #: wheel per event (the PR 6 engine).  Effective only for
-    #: ``scheduler="wheel"`` with batch admission; the per-event heap
-    #: referee always runs lane-off.
+    #: Lease-lane engine for the "queue" pool policy: "on" (default)
+    #: keeps periodic lease timers in the struct-of-arrays
+    #: :class:`~repro.sim.wheel.LeaseLane` and drains them in vectorized
+    #: slabs; "off" runs the hop-virtualized batch kernel.  Effective
+    #: only for ``scheduler="wheel"`` with batch admission and the
+    #: "queue" policy; "cold" and "hybrid" runs always take the batch
+    #: kernel, and the per-event heap referee ignores the flag.
     lease_lane: str = "on"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
@@ -192,9 +195,8 @@ class ScaleConfig:
     #: the MITOSIS-style remote-fork).
     start_model: str = "remote-fork"
     #: Idle-reclaim window for a cold-started executor, measured from
-    #: its spin-up (a lease-style fixed lifetime, which is what keeps
-    #: the reclaim calendar append-sorted).  0 = never reclaim: the
-    #: executor joins the warm pool for good.
+    #: the moment it is ready (a lease-style fixed lifetime).  0 = never
+    #: reclaim: the executor joins the warm pool for good.
     keepalive_ns: int = 0
     #: Backlog depth that flips a dry arrival from queueing to a cold
     #: start ("hybrid" only).
@@ -471,13 +473,6 @@ class _OpenLoopDriver:
             "lane_max_slab",
             "lane_rearm_batches",
             "lane_scalar_fires",
-            "cold_entries",
-            "cold_entries_peak",
-            "cold_slabs",
-            "cold_max_slab",
-            "cold_scalar_fires",
-            "cold_spinups",
-            "cold_reclaim_fires",
         ):
             value = sample.get(key, 0)
             if value > peaks.get(key, -1):
@@ -502,6 +497,15 @@ def _validate_lease_lane(lease_lane: str) -> None:
     """Reject unknown lease-lane modes before any environment is built."""
     if lease_lane not in ("on", "off"):
         raise ValueError(f"lease_lane must be 'on' or 'off', got {lease_lane!r}")
+
+
+def _validate_lease_interval(lease_check_interval_ns: int) -> None:
+    """Reject a non-positive lease-check period before any environment
+    is built (every engine divides by it or re-arms by it)."""
+    if lease_check_interval_ns < 1:
+        raise ValueError(
+            f"lease_check_interval_ns must be >= 1, got {lease_check_interval_ns}"
+        )
 
 
 def _validate_pool_policy(
@@ -578,11 +582,17 @@ def run_scale(
     :func:`run_scale_sharded`, which decomposes the scenario and fans
     the shards out over ``parallel`` worker processes; the single-shard
     Poisson path below is byte-for-byte the PR 4 engine.
+
+    ``lease_lane`` picks the LeaseLane kernel ("on") or the batch
+    kernel ("off") for the "queue" pool policy only; "cold" and
+    "hybrid" always run the batch kernel (see
+    :attr:`ScaleConfig.lease_lane`).
     """
     validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_lease_lane(lease_lane)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
+    _validate_lease_interval(lease_check_interval_ns)
     if shards != 1 or arrival_shape != "poisson":
         if profile:
             raise ValueError("--profile supports the single-shard poisson path only")
@@ -796,13 +806,18 @@ class _ShardDriver:
     Two admission modes (``config.admission``):
 
     * ``"per-event"`` -- one ``timeout()`` per arrival, chained from the
-      previous arrival's callback: the PR 5 baseline.
+      previous arrival's callback: the per-event referee, whose
+      dispatch contract (:meth:`_complete_after`) it shares with
+      :class:`_TenantDriver`.
     * ``"batch"`` -- each pre-generated arrival chunk is bucket-sorted
       into the scheduler in one vectorized ``schedule_batch`` call; the
       arrival callback just consumes the pre-assigned service stream
       and admits the next chunk when the current one is exhausted.
       ~10^6 Python ``timeout()`` calls per shard collapse into ~16
-      numpy passes.
+      numpy passes.  ``start()`` installs one of two fused kernels:
+      the hop-virtualized batch kernel (every pool policy), or, for the
+      queue policy on a wheel with ``lease_lane="on"``, the LeaseLane
+      kernel.
     """
 
     __slots__ = (
@@ -827,15 +842,15 @@ class _ShardDriver:
         "_buffer",
         "sojourn_total",
         "_batch",
-        "_lane_mode",
         "_lease_cbs",
+        "_hop_cbs",
+        "_cold_cbs",
+        "_reclaim_cbs",
         "_schedule",
         "_kernel_sync",
         "_kernel_drive",
         "_on_arrival",
-        "_on_lease",
         "_is_wheel",
-        "_cold_mode",
         "_threshold",
         "_spawn",
         "_keepalive",
@@ -844,10 +859,6 @@ class _ShardDriver:
         "cold_reclaimed",
         "cold_retained",
         "cold_alive",
-        "_cold_cbs",
-        "_reclaim_cbs",
-        "_on_cold",
-        "_on_reclaim",
     )
 
     def __init__(self, env, config: ScaleConfig, shard: int, shards: int) -> None:
@@ -873,28 +884,20 @@ class _ShardDriver:
         self._buffer: list[int] = []
         self.sojourn_total = 0
         # Batch mode installs a closure kernel in start(); the method
-        # FSM below serves per-event mode.
+        # FSM below serves per-event mode.  One shared callbacks tuple
+        # per event class: the run loop only reads tuple descriptors,
+        # so dispatches avoid a per-event list allocation.
         self._on_arrival = self._handle_arrival
-        self._on_lease = self._handle_lease
-        #: One shared callbacks tuple for every lease timeout: the run
-        #: loop only reads and detaches callbacks, so re-arms and fresh
-        #: dispatches alike avoid a per-event list allocation.
-        self._lease_cbs = (self._on_lease,)
-        #: Bound once: ~7 re-arms per invocation go through this.
+        self._lease_cbs = (self._handle_lease,)
+        self._hop_cbs = (self._handle_hop,)
+        self._cold_cbs = (self._handle_cold,)
+        self._reclaim_cbs = (self._handle_reclaim,)
         self._schedule = env.schedule_timeout
         self._kernel_sync: Any = None
         self._kernel_drive: Any = None
         self._is_wheel = isinstance(env, WheelEnvironment)
-        #: Lease-lane engine is effective only where its preconditions
-        #: hold: a wheel (the lane attaches to WheelEnvironment) driven
-        #: in batch mode (the fused kernel owns the callbacks the bulk
-        #: drain's counted-completion shortcut relies on).
-        self._lane_mode = (
-            config.lease_lane == "on" and self._batch and self._is_wheel
-        )
         # -- cold-start path (pool_policy != "queue") ------------------
         policy = config.pool_policy
-        self._cold_mode = policy != "queue"
         #: Backlog depth at which a dry-pool arrival goes cold instead
         #: of queueing: 0 = always ("cold"), huge = never ("queue").
         if policy == "cold":
@@ -910,10 +913,6 @@ class _ShardDriver:
         self.cold_reclaimed = 0
         self.cold_retained = 0
         self.cold_alive = 0
-        self._on_cold = self._handle_cold
-        self._on_reclaim = self._handle_reclaim
-        self._cold_cbs = (self._on_cold,)
-        self._reclaim_cbs = (self._on_reclaim,)
 
     def _advance(self) -> None:
         """Prefetch the next (arrival time, service) pair."""
@@ -931,9 +930,15 @@ class _ShardDriver:
         if self.free_slots < 1:
             raise ValueError("shard needs at least one warm slot")
         if self._batch:
-            if self._cold_mode and self._lane_mode:
-                self._install_cold_kernel()
-            elif self._lane_mode:
+            # The LeaseLane (a wheel attachment) still beats hop
+            # virtualization on dense queue-policy bursts; every other
+            # batch run -- cold and hybrid included -- takes the
+            # hop-virtualized batch kernel.
+            if (
+                self._is_wheel
+                and self.config.lease_lane == "on"
+                and self.config.pool_policy == "queue"
+            ):
                 self._install_lane_kernel()
             else:
                 self._install_batch_kernel()
@@ -953,26 +958,38 @@ class _ShardDriver:
     def _install_batch_kernel(self) -> None:
         """Build the batch-mode FSM as closures and admit the first chunk.
 
-        The arrival/lease handlers run ~9 million times per million
-        invocations; closing their state over cells (LOAD_DEREF) instead
-        of attribute access roughly halves the interpreter work per
-        event.  Three further hot-path savings over the method FSM:
+        The arrival/completion handlers run ~2 million times per
+        million invocations; closing their state over cells
+        (LOAD_DEREF) instead of attribute access roughly halves the
+        interpreter work per event.  The just-processed arrival
+        BatchEvent is *reused* as its own completion event, and a
+        completed event is likewise reused for the backlogged invocation
+        it hands its slot to, so a dispatch allocates nothing.
 
-        * the just-processed arrival BatchEvent is *reused* as its own
-          lease timer (value/callbacks re-set, rescheduled) -- a
-          dispatch allocates nothing;
-        * a completed lease event is likewise reused for the backlogged
-          invocation it hands its slot to;
-        * the dominant re-arm destination -- a level-0 wheel slot ahead
-          of the cursor -- is filed inline against stable wheel
-          internals (``_slots0``/``_mask0``/``_eid`` never change
-          identity, even across re-anchors), with everything else
-          falling back to ``schedule_timeout``.  The entry tuples and
-          eid allocation points are identical, so pop order -- hence the
-          fingerprint -- is untouched.
+        Lease renewal checks are *virtualized*, as in
+        :meth:`_TenantDriver._install_tenant_kernel`: a lease's finish
+        is fixed at dispatch, so every dispatch -- an arrival into a
+        free slot, a backlog hand-off, a cold executor coming up --
+        schedules its completion straight at ``start + service`` and
+        adds the referee's ``(service - 1) // interval`` renewal-check
+        fires to ``events_processed`` in closed form.  A dispatch costs
+        one scheduler insert and no renewal walk.  Exactness rests on
+        the contract the per-event referee shares (see
+        :meth:`_complete_after`): completion eids are drawn at the
+        dispatch sequence point in every engine, and the renewal checks
+        the referee does walk touch no shared state.  So every
+        tie-break class resolves identically: completion vs completion
+        and completion vs idle-reclaim by eid, completion vs arrival by
+        ``_ARRIVAL_PRIO``.
+
+        Cold spin-ups and idle-reclaim expiries stay ordinary scheduler
+        events; the fused loop dispatches them through its generic path.
+        The closures serve the heap environment's generic run loop; the
+        wheel runs the fused :func:`drive` below, which inlines the
+        arrival and completion handlers.
 
         Simulated-domain state is written back by ``finish()`` via the
-        ``_sync`` closure; ``_buffer``/``backlog``/``occupancy_peaks``
+        ``sync`` closure; ``_buffer``/``backlog``/``occupancy_peaks``
         are shared mutable objects and need no sync.
         """
         env = self.env
@@ -986,15 +1003,6 @@ class _ShardDriver:
         backlog = self.backlog
         chunks = self._chunks
         total = self.count
-        is_wheel = self._is_wheel
-        if is_wheel:
-            slots0 = env._slots0
-            mask0 = env._mask0
-            eid = env._eid
-            # Bound once: _eid is never rebound, even across re-anchors.
-            eidn = eid.__next__
-        else:
-            slots0 = mask0 = eid = eidn = None
         free_slots = self.free_slots
         arrived = 0
         completed = 0
@@ -1024,10 +1032,16 @@ class _ShardDriver:
             pos = 0
             schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
 
+        def dispatch(event, service: int) -> None:
+            """Schedule *event* as the completion ``service`` ns out and
+            count the renewal checks the referee walks meanwhile."""
+            event.callbacks = lease_cbs
+            env.events_processed += (service - 1) // interval
+            schedule(event, service)
+
         def on_arrival(event) -> None:
             nonlocal pos, arrived, free_slots, queued, max_backlog
             nonlocal cold_starts, cold_busy_ns
-            now = env._now
             service = services[pos]
             pos += 1
             arrived += 1
@@ -1042,86 +1056,41 @@ class _ShardDriver:
                 buffer.append(service)  # sojourn: zero wait + service
                 if len(buffer) >= flush_batch:
                     flush()
-                event._value = now + service
-                event.callbacks = lease_cbs
-                delay = service if service <= interval else interval
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
+                dispatch(event, service)
             elif len(backlog) >= threshold:
                 cold_starts += 1
                 cold_busy_ns += spawn + service
                 schedule(BatchEvent(env, cold_cbs, service), spawn)
             else:
-                backlog.append((now, service))
+                backlog.append((env._now, service))
                 queued += 1
                 if len(backlog) > max_backlog:
                     max_backlog = len(backlog)
 
         def on_lease(event) -> None:
             nonlocal completed, free_slots
-            now = env._now
-            remaining = event._value - now
-            if remaining > 0:
-                # The lease descriptor is a tuple, so the loop never
-                # detached it: re-arming is just a re-insert.
-                delay = interval if remaining > interval else remaining
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
-                return
             completed += 1
-            if not completed & 0x3FF and is_wheel:
-                sample()
             if backlog:
                 arrival_ns, service = backlog.popleft()
-                buffer.append(now - arrival_ns + service)
+                buffer.append(env._now - arrival_ns + service)
                 if len(buffer) >= flush_batch:
                     flush()
-                event._value = now + service
-                delay = service if service <= interval else interval
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
+                dispatch(event, service)
             else:
                 free_slots += 1
 
         def on_cold(event) -> None:
             """Sandbox ready: record the cold sojourn and start the
             invocation on the new executor, reusing the spin-up event as
-            its lease timer (lease eid first, reclaim eid second -- the
-            interleave the vectorized cold lane's bulk reservations
-            replicate).  Dispatched through the generic/foreign path:
-            cold events are rare by construction, so they never earn a
-            fused branch."""
+            its completion (completion eid first, reclaim eid second --
+            the referee's order)."""
             nonlocal cold_alive
-            now = env._now
             service = event._value
             buffer.append(spawn + service)
             if len(buffer) >= flush_batch:
                 flush()
             cold_alive += 1
-            event._value = now + service
-            event.callbacks = lease_cbs
-            schedule(event, service if service <= interval else interval)
+            dispatch(event, service)
             if keepalive:
                 schedule(BatchEvent(env, reclaim_cbs, 0), keepalive)
 
@@ -1137,34 +1106,40 @@ class _ShardDriver:
                 cold_retained += 1
 
         def drive() -> None:
-            """Fused event loop: the wheel's pop fast path with both
-            kernel handlers inlined.
+            """Fused event loop: the wheel's pop fast path with the
+            arrival and completion handlers inlined.
 
             ``WheelEnvironment.run`` costs a Python call frame, an
             ``env._now`` store, a class check and a failure check per
-            event before the handler does any work; at ~9 events per
-            invocation that overhead alone is seconds per million
-            invocations.  This loop recognizes the kernel's own events
-            by their dispatch-descriptor identity (``lease_cbs``, or a
-            tuple holding ``on_arrival``) and runs the handler bodies
-            inline with ``now`` kept in a local.  Everything the run
-            loop would have done for these events is replicated: same
-            pop order (identical guard structure over the same spill /
-            overflow / active objects), same ``events_processed``
-            accounting, and ``env._now`` / ``env._ai`` are synced
-            before any call that can observe them (``_pop``, the
-            ``schedule_timeout`` fallback, chunk admission, occupancy
-            sampling, foreign callbacks) and in ``finally``.  The
-            failure check is skipped only for the kernel's own events,
-            which are constructed ``_ok`` and never fail; foreign
-            events get the full generic treatment.  Invariants relied
-            on: callbacks never rebind ``_active`` / ``_spill`` /
-            ``_queue`` (refill and re-anchor drain them in place, and
-            only inside ``_pop``), and inline L0 inserts never target
-            the active bucket (``0 < d0`` excludes the cursor slot).
+            event before the handler does any work; at millions of
+            events that overhead alone is seconds.  This loop recognizes
+            the kernel's own events by their dispatch-descriptor
+            identity (``lease_cbs``, or a tuple holding ``on_arrival``)
+            and runs the handler bodies inline with ``now`` kept in a
+            local.  Everything the run loop would have done for these
+            events is replicated: same pop order (identical guard
+            structure over the same spill / overflow / active objects),
+            same ``events_processed`` accounting, and ``env._now`` /
+            ``env._ai`` are synced before any call that can observe them
+            (``_pop``, the ``schedule_timeout`` fallback, chunk
+            admission, occupancy sampling, foreign callbacks) and in
+            ``finally``.  The failure check is skipped only for the
+            kernel's own events, which are constructed ``_ok`` and never
+            fail; foreign events (cold spin-ups, reclaim expiries) get
+            the full generic treatment.  Invariants relied on: callbacks
+            never rebind ``_active`` / ``_spill`` / ``_queue`` (refill
+            and re-anchor drain them in place, and only inside
+            ``_pop``), and inline L0 inserts never target the active
+            bucket (``0 < d0`` excludes the cursor slot).
             """
             nonlocal pos, arrived, completed, free_slots, queued, max_backlog
             nonlocal cold_starts, cold_busy_ns
+            # _slots0/_mask0/_eid never change identity, even across
+            # re-anchors, so the dominant insert -- a level-0 slot ahead
+            # of the cursor -- is filed inline against them.
+            slots0 = env._slots0
+            mask0 = env._mask0
+            eidn = env._eid.__next__
             pop = env._pop
             spill = env._spill
             overflow = env._queue
@@ -1231,27 +1206,6 @@ class _ShardDriver:
                     processed += 1
                     cbs = event.callbacks
                     if cbs is lease_cbs:
-                        deadline = event._value
-                        if deadline > now:
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                            continue
                         completed += 1
                         if not completed & 0x3FF:
                             env._now = now
@@ -1260,42 +1214,12 @@ class _ShardDriver:
                                 env._l0_count += l0_add
                                 l0_add = 0
                             sample()
-                        if backlog:
-                            arrival_ns, service = backlog.popleft()
-                            buffer.append(now - arrival_ns + service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        else:
+                        if not backlog:
                             free_slots += 1
-                        continue
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
+                            continue
+                        arrival_ns, service = backlog.popleft()
+                        buffer.append(now - arrival_ns + service)
+                    elif cbs.__class__ is tuple and cbs[0] is on_arrival:
                         service = services[pos]
                         pos += 1
                         arrived += 1
@@ -1312,36 +1236,7 @@ class _ShardDriver:
                         if free_slots:
                             free_slots -= 1
                             buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
                             event.callbacks = lease_cbs
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
                         elif len(backlog) >= threshold:
                             cold_starts += 1
                             cold_busy_ns += spawn + service
@@ -1354,33 +1249,65 @@ class _ShardDriver:
                             gbits = env._gbits
                             cursor = env._cursor
                             clear = not spill and not overflow
+                            continue
                         else:
                             backlog.append((now, service))
                             queued += 1
                             blen = len(backlog)
                             if blen > max_backlog:
                                 max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if l0_add:
-                        env._l0_count += l0_add
-                        l0_add = 0
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
+                            continue
                     else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    gbits = env._gbits
-                    cursor = env._cursor
-                    clear = not spill and not overflow
+                        # Foreign event: full generic run-loop semantics.
+                        env._now = now
+                        env._ai = ai
+                        if l0_add:
+                            env._l0_count += l0_add
+                            l0_add = 0
+                        if cbs.__class__ is tuple:
+                            cbs[0](event)
+                        else:
+                            event.callbacks = None
+                            for callback in cbs:
+                                callback(event)
+                        if not event._ok and not event._defused:
+                            exc = event._value
+                            if isinstance(exc, BaseException):
+                                raise exc
+                            raise RuntimeError(f"event failed with non-exception {exc!r}")
+                        gbits = env._gbits
+                        cursor = env._cursor
+                        clear = not spill and not overflow
+                        continue
+                    # Dispatch (arrival into a free slot, or backlog
+                    # hand-off): the completion lands at now + service,
+                    # and the renewal checks are counted, not walked.
+                    if len(buffer) >= flush_batch:
+                        # flush() force-samples occupancy: give it the
+                        # true wheel state first.
+                        env._now = now
+                        env._ai = ai
+                        if l0_add:
+                            env._l0_count += l0_add
+                            l0_add = 0
+                        flush()
+                    processed += (service - 1) // interval
+                    when = now + service
+                    s0 = when >> gbits
+                    d0 = s0 - cursor
+                    if 0 < d0 <= mask0:
+                        slots0[s0 & mask0].append((when, 1, eidn(), event))
+                        l0_add += 1
+                    else:
+                        env._now = now
+                        env._ai = ai
+                        if l0_add:
+                            env._l0_count += l0_add
+                            l0_add = 0
+                        schedule(event, service)
+                        gbits = env._gbits
+                        cursor = env._cursor
+                        clear = not spill and not overflow
             finally:
                 env._ai = ai
                 env._now = now
@@ -1403,17 +1330,10 @@ class _ShardDriver:
         lease_cbs = (on_lease,)
         cold_cbs = (on_cold,)
         reclaim_cbs = (on_reclaim_ev,)
-        self._on_arrival = on_arrival
-        self._on_lease = on_lease
-        self._lease_cbs = lease_cbs
-        self._on_cold = on_cold
-        self._on_reclaim = on_reclaim_ev
-        self._cold_cbs = cold_cbs
-        self._reclaim_cbs = reclaim_cbs
         self._kernel_sync = sync
         # The fused loop leans on wheel internals; heap-batch runs keep
         # the generic Environment.run dispatch over the same closures.
-        self._kernel_drive = drive if is_wheel else None
+        self._kernel_drive = drive if self._is_wheel else None
         admit_chunk()
 
     def _install_lane_kernel(self) -> None:
@@ -1426,29 +1346,31 @@ class _ShardDriver:
         while the ~7 re-validations each live as three int64 cells,
         fired in vectorized slabs between wheel pops.
 
-        Bit-identity with the lane-off kernel (hence with the per-event
-        heap referee) holds because every eid is allocated at the same
-        sequence point per-event execution would allocate it:
+        Installed for the queue policy only.  Bit-identity with the
+        per-event heap referee (hence with the hop-virtualized batch
+        kernel) holds because:
 
-        * ``lane.admit`` draws ``next(env._eid)`` at dispatch, exactly
-          where the lane-off kernel's inline L0 insert draws it;
-        * slab re-arms draw a contiguous ``reserve_eids`` block in
-          deadline order -- the order per-event fires would draw them --
-          and completions draw none, so deferring their callbacks to a
-          counted bulk total commutes (they only ever do
-          ``completed += 1; free_slots += 1``);
+        * a lease fires ``ceil(service / interval)`` lane entries -- the
+          referee's renewal hops plus its completion -- so
+          ``events_processed`` agrees;
+        * re-arms have no effects, and a completion with an empty
+          backlog only ever does ``completed += 1; free_slots += 1``,
+          so deferring those callbacks to a counted bulk total
+          commutes, and the eids the lane draws for them (at
+          ``lane.admit``, and one ``reserve_eids`` block per slab
+          re-arm) never reorder an effect;
         * the lane is drained up to the next wheel entry's ``(when,
-          priority, eid)`` key before that entry is dispatched, so the
-          global fire order (and with it every tie-break between a
-          lease deadline and an arrival at the same nanosecond) is the
-          per-event order;
+          priority, eid)`` key before that entry is dispatched, so a
+          lease deadline and an arrival at the same nanosecond fire in
+          the per-event order (lane entries at NORMAL, arrivals at
+          ``_ARRIVAL_PRIO``);
         * while the backlog is non-empty a completion's callback is
           observable (it pops the backlog, records a sojourn, admits a
           new lease), so the drain runs its exact scalar path until the
           backlog drains -- ``exact=backlog`` hands the deque itself to
           the lane as the switch.
 
-        The wheel shadowing is simpler than the lane-off kernel's: no
+        The wheel shadowing is simpler than the batch kernel's: no
         lease ever enters the wheel, so there are no inline inserts and
         no ``gbits``/``cursor``/``l0_add`` locals -- only the pop fast
         path over ``active``/``ai`` and the spill/overflow guards.
@@ -1788,958 +1710,6 @@ class _ShardDriver:
         self._kernel_drive = drive
         admit_chunk()
 
-    def _install_cold_kernel(self) -> None:
-        """Install the cold-start kernel variant for this run's knobs.
-
-        ``keepalive == 0`` (the default): the batch-wheel kernel
-        extended with the vectorized ColdLane -- see
-        :meth:`_install_cold_fast_kernel` for the commutation argument
-        that makes whole-backlog spin-up slabs exact.  ``keepalive >
-        0``: idle-reclaims force a strict per-head interleave, handled
-        by :meth:`_install_cold_strict_kernel`.
-        """
-        if self._keepalive:
-            self._install_cold_strict_kernel()
-        else:
-            self._install_cold_fast_kernel()
-
-    def _install_cold_fast_kernel(self) -> None:
-        """Batch-wheel kernel + vectorized ColdLane (keepalive = 0).
-
-        Leases live in the wheel exactly as in the lane-off batch
-        kernel: the reused-event / inline-L0 recipe absorbs the cold
-        re-arm storm (every concurrent cold lease re-arms each
-        ``interval``, and a saturated pool holds ~``service / gap``
-        of them at once) at one list append per re-arm.  Routing those
-        leases through the LeaseLane instead would pay a windowed
-        ``searchsorted`` scan over its side blocks for every merge
-        step -- measured at 10^6 invocations that is ~9M scans and
-        dominates the whole run -- because cold slabs admit blocks of
-        non-monotone deadlines behind the lane floor faster than the
-        lane can retire them.
-
-        What the ColdLane vectorizes is the *cold stream*: a dry-pool
-        arrival that goes cold becomes three int64 cells in its
-        spin-up calendar instead of a scheduled event, and the entire
-        pending backlog fires as one slab
-        (:meth:`~repro.sim.wheel.ColdLane.drain_spinups_all`) the
-        moment the merge reaches the oldest ready time.  Under a
-        saturated pool that is one ``spawn / gap``-sized slab (~4k
-        spin-ups at the default 250 ns gap) per ``spawn`` of virtual
-        time instead of one scalar fire wedged between every pair of
-        arrivals.
-
-        Exactness of the early slab: with idle-reclaim off nothing
-        ever reads ``cold_alive``, and a spin-up fire's effects are
-        functions of its own stored times -- the sojourn is ``spawn +
-        service`` and its lease lands at ``ready + min(service,
-        interval)``, strictly ahead of every already-dispatched event.
-        Spin-up fires therefore commute with arrivals and completions.
-        The slab admits its leases through ``schedule_batch`` sorted
-        by deadline, so their eids are drawn in deadline order where
-        the referee draws them in ready order; a tie at equal ``(when,
-        priority)`` between two lease events is the only place that
-        renumbering can flip a fire order, and lease fires commute
-        among themselves (a re-arm touches only its own stored finish;
-        completions are interchangeable -- the backlog pops FIFO and
-        ``free_slots`` increments commute).  Every fingerprint
-        aggregate (counter totals, the sojourn multiset into histogram
-        buckets, exact min/max, the exact-integer mean) is order-free,
-        so the fingerprint is the per-event referee's, bit for bit.
-        """
-        env = self.env
-        schedule = env.schedule_timeout
-        schedule_batch = env.schedule_batch
-        insert = env._insert
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        spawn = self._spawn
-        threshold = self._threshold
-        slots0 = env._slots0
-        mask0 = env._mask0
-        eid = env._eid
-        # Bound once: _eid is never rebound on this path (reserve_eids
-        # is never called with keepalive off).
-        eidn = eid.__next__
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        cold_starts = 0
-        cold_busy_ns = 0
-        cold_alive = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        lease_cbs: tuple = ()
-        # Cached cold-lane head ready time; -1 means "empty".  Ready
-        # times are monotone in admission order (now + spawn), so only
-        # the first admission after a drain sets it.
-        cold_w = -1
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, services = next(chunks)
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            """Generic-dispatch arrival body (the fused loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns, cold_w
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                event.callbacks = lease_cbs
-                delay = service if service <= interval else interval
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-            elif len(backlog) >= threshold:
-                cold_starts += 1
-                cold_busy_ns += spawn + service
-                ready = now + spawn
-                cold_admit(ready, now, service)
-                if cold_w < 0:
-                    cold_w = ready
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def on_lease(event) -> None:
-            nonlocal completed, free_slots
-            now = env._now
-            remaining = event._value - now
-            if remaining > 0:
-                delay = interval if remaining > interval else remaining
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-                return
-            completed += 1
-            if not completed & 0x3FF:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(now - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                delay = service if service <= interval else interval
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-            else:
-                free_slots += 1
-
-        def on_ready(when: int, arrival: int, service: int) -> None:
-            """Scalar spin-up fire (sub-slab runs): sandbox ready, the
-            executor joins the pool by starting its invocation under a
-            wheel-resident lease."""
-            nonlocal cold_alive
-            buffer.append(spawn + service)
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += 1
-            dl = when + (service if service <= interval else interval)
-            insert((dl, 1, eidn(), BatchEvent(env, lease_cbs, when + service)))
-
-        def on_ready_slab(when_a, arrival_a, service_a) -> None:
-            """Vectorized spin-up run: bulk sojourns, leases admitted
-            into the wheel via one deadline-sorted ``schedule_batch``
-            (passing ``lease_cbs`` itself so the fused loop keeps
-            recognizing the events by descriptor identity)."""
-            nonlocal cold_alive
-            n = when_a.shape[0]
-            buffer.extend((service_a + spawn).tolist())
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += n
-            finishes = when_a + service_a
-            deadlines = when_a + np.minimum(service_a, interval)
-            order = np.argsort(deadlines, kind="stable")
-            events = schedule_batch(deadlines[order], lease_cbs)
-            for ev, fin in zip(events, finishes[order].tolist()):
-                ev._value = fin
-
-        gap = interval
-        if self.config.min_service_ns < gap:
-            gap = self.config.min_service_ns
-        cold = env.attach_cold_lane(gap, on_ready, on_ready_slab, None)
-        cold_admit = cold.admit
-        drain_all = cold.drain_spinups_all
-
-        def drive() -> None:
-            """Fused loop: the batch kernel's pop fast path plus the
-            cold gate.
-
-            Before an entry at ``when`` dispatches, a pending spin-up
-            backlog whose oldest ready time is <= ``when`` fires as one
-            slab; the entry is pushed back through the spill heap (the
-            slab's lease admissions may precede it) and the pop
-            retried.  Shadow-state rules are the batch kernel's, with
-            one addition: the gate and the dry-wheel slab flush
-            ``l0_add`` and re-read ``_gbits``/``_cursor`` around
-            ``drain_all`` (slab admissions can re-anchor a dry wheel).
-            ``cold_admit`` touches only lane arrays and the eid
-            counter, so the arrival fast path needs no sync around it.
-            """
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns, cold_w
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            gbits = env._gbits
-            cursor = env._cursor
-            l0_add = 0
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            if cold_w < 0:
-                                return
-                            # Wheel dry with spin-ups pending: slab
-                            # them out (their leases land back in the
-                            # wheel) and resume popping.
-                            processed += drain_all()
-                            cold_w = -1
-                            active = env._active
-                            ai = env._ai
-                            alen = len(active)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                            continue
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = not spill and not overflow
-                    if 0 <= cold_w <= entry[0]:
-                        # Cold gate: the whole pending spin-up backlog
-                        # commutes and its oldest ready precedes this
-                        # entry -- fire it as one slab, push the entry
-                        # back and re-pop.
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        processed += drain_all()
-                        cold_w = -1
-                        heappush(spill, entry)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = False
-                        continue
-                    now = entry[0]
-                    event = entry[3]
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs is lease_cbs:
-                        deadline = event._value
-                        if deadline > now:
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                            continue
-                        completed += 1
-                        if not completed & 0x3FF:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            sample()
-                        if backlog:
-                            arrival_ns, service = backlog.popleft()
-                            buffer.append(now - arrival_ns + service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        else:
-                            free_slots += 1
-                        continue
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            admit_chunk()
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            event.callbacks = lease_cbs
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        elif len(backlog) >= threshold:
-                            cold_starts += 1
-                            cold_busy_ns += spawn + service
-                            ready = now + spawn
-                            cold_admit(ready, now, service)
-                            if cold_w < 0:
-                                cold_w = ready
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if l0_add:
-                        env._l0_count += l0_add
-                        l0_add = 0
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    gbits = env._gbits
-                    cursor = env._cursor
-                    clear = not spill and not overflow
-            finally:
-                env._ai = ai
-                env._now = now
-                if l0_add:
-                    env._l0_count += l0_add
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-            self.cold_starts = cold_starts
-            self.cold_busy_ns = cold_busy_ns
-            self.cold_alive = cold_alive
-
-        lease_cbs = (on_lease,)
-        self._on_arrival = on_arrival
-        self._on_lease = on_lease
-        self._lease_cbs = lease_cbs
-        self._kernel_sync = sync
-        self._kernel_drive = drive
-        admit_chunk()
-
-    def _install_cold_strict_kernel(self) -> None:
-        """Lane kernel variant with the cold-start calendar (ColdLane).
-
-        Leases live in the LeaseLane as in the lane kernel; dry-pool
-        arrivals that go cold become three int64 cells in the
-        ColdLane's spin-up calendar (ready/arrival/service) instead of
-        a wheel event, and idle-reclaim expiries become two cells in
-        its reclaim calendar.  The wheel carries arrivals only; due
-        runs of spin-ups fire as vectorized slabs (bulk sojourn append
-        + one interleaved ``reserve_eids`` block for the lease/reclaim
-        admissions) and due runs of reclaims fold into a single
-        counted hook call.
-
-        Unlike the lease lane there is **no deferral**: an arrival's
-        cold-vs-queue decision observes ``free_slots`` and a reclaim
-        both reads and writes it, so pending fires are never
-        postponable.  The loop instead runs a strict three-way merge --
-        before dispatching each wheel entry both lanes are drained up
-        to the entry's ``(when, priority, eid)`` key, each drain call
-        bounded by the *other* lane's head so no fire can overtake a
-        pending earlier one.  Entries admitted mid-drain are handled by
-        the ColdLane's admission-window cap (a call never fires past
-        ``first fire + admit_gap``, and everything a fire admits lands
-        at least ``admit_gap`` later), with every head re-read between
-        calls.  Effects of a fire are applied at its exact sequence
-        point, so the fingerprint -- including every tie at equal
-        nanoseconds -- is the per-event referee's, bit for bit.
-
-        Only ``keepalive > 0`` runs land here (reclaims are what force
-        the strict interleave); with idle-reclaim off the dispatching
-        :meth:`_install_cold_kernel` installs the commuting fast
-        kernel instead.
-        """
-        env = self.env
-        config = self.config
-        schedule_batch = env.schedule_batch
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        spawn = self._spawn
-        keepalive = self._keepalive
-        threshold = self._threshold
-        reserve = env.reserve_eids
-        lane = env.attach_lease_lane(interval)
-        admit = lane.admit
-        admit_block = lane.admit_block
-        lane_drain = lane.drain
-        lane_head = lane.head_key
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        cold_starts = 0
-        cold_busy_ns = 0
-        cold_reclaimed = 0
-        cold_retained = 0
-        cold_alive = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        # Cached lane heads; -1 means "empty".  Kept current by updating
-        # after every admit and re-reading after every drain/foreign
-        # call, so the per-entry merge check is a few int compares.
-        lane_dl = -1
-        lane_eid = 0
-        cold_w = -1
-        cold_e = 0
-
-        def on_complete(when: int) -> None:
-            """Scalar-exact lease completion (see the lane kernel)."""
-            nonlocal completed, free_slots
-            completed += 1
-            if not completed & 0x3FF:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(when - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                admit(
-                    when + (service if service <= interval else interval),
-                    when + service,
-                )
-            else:
-                free_slots += 1
-
-        lane.on_complete = on_complete
-
-        def on_ready(when: int, arrival: int, service: int) -> None:
-            """Scalar spin-up fire: sandbox ready, executor joins the
-            pool by starting its invocation under a normal lease (lease
-            eid first, reclaim eid second -- the per-event order)."""
-            nonlocal cold_alive, lane_dl, lane_eid
-            buffer.append(spawn + service)
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += 1
-            dl = when + (service if service <= interval else interval)
-            eid = admit(dl, when + service)
-            if lane_dl < 0 or dl < lane_dl or (dl == lane_dl and eid < lane_eid):
-                lane_dl = dl
-                lane_eid = eid
-            if keepalive:
-                cold.admit_reclaim(when + keepalive)
-
-        def on_ready_slab(when_a, arrival_a, service_a) -> None:
-            """Vectorized spin-up run: bulk sojourns, one interleaved
-            eid block (evens lease, odds reclaim -- exactly the ids the
-            scalar path would draw fire by fire)."""
-            nonlocal cold_alive, lane_dl, lane_eid
-            n = when_a.shape[0]
-            buffer.extend((service_a + spawn).tolist())
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += n
-            deadlines = when_a + np.minimum(service_a, interval)
-            finishes = when_a + service_a
-            if keepalive:
-                base = reserve(2 * n)
-                eids = np.arange(base, base + 2 * n, dtype=np.int64)
-                admit_block(deadlines, finishes, eids[0::2])
-                cold.admit_reclaim_block(when_a + keepalive, eids[1::2])
-            else:
-                base = reserve(n)
-                admit_block(
-                    deadlines, finishes, np.arange(base, base + n, dtype=np.int64)
-                )
-            head = lane_head()
-            if head is not None:
-                lane_dl, lane_eid = head
-
-        def on_reclaim_hook(n: int) -> None:
-            """A run of *n* consecutive reclaim expiries: successes are
-            ``min(n, free_slots, cold_alive)`` -- exactly what n scalar
-            fires of the referee's handler would conclude."""
-            nonlocal free_slots, cold_alive, cold_reclaimed, cold_retained
-            succ = n
-            if free_slots < succ:
-                succ = free_slots
-            if cold_alive < succ:
-                succ = cold_alive
-            free_slots -= succ
-            cold_alive -= succ
-            cold_reclaimed += succ
-            cold_retained += n - succ
-
-        gap = interval
-        if config.min_service_ns < gap:
-            gap = config.min_service_ns
-        if keepalive and keepalive < gap:
-            gap = keepalive
-        cold = env.attach_cold_lane(gap, on_ready, on_ready_slab, on_reclaim_hook)
-        cold_admit = cold.admit
-        cold_drain = cold.drain
-        cold_head = cold.head_key
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, services = next(chunks)
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            """Generic-dispatch arrival body (the fused loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid, cold_w, cold_e
-            nonlocal cold_starts, cold_busy_ns
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                when = now + (service if service <= interval else interval)
-                eid = admit(when, now + service)
-                if lane_dl < 0 or when < lane_dl or (when == lane_dl and eid < lane_eid):
-                    lane_dl = when
-                    lane_eid = eid
-            elif len(backlog) >= threshold:
-                cold_starts += 1
-                cold_busy_ns += spawn + service
-                ready = now + spawn
-                ceid = cold_admit(ready, now, service)
-                if cold_w < 0 or ready < cold_w or (ready == cold_w and ceid < cold_e):
-                    cold_w = ready
-                    cold_e = ceid
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def drive() -> None:
-            """Fused loop: wheel pop fast path + strict three-way merge
-            (see the method docstring for why nothing is deferred)."""
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid, cold_w, cold_e
-            nonlocal cold_starts, cold_busy_ns
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            # Wheel dry, arrivals exhausted: drain both
-                            # lanes interleaved by head order until empty
-                            # (each call still bounded by the other's
-                            # head and the admission window).
-                            while lane_dl >= 0 or cold_w >= 0:
-                                env._now = now
-                                if cold_w >= 0 and (
-                                    lane_dl < 0
-                                    or cold_w < lane_dl
-                                    or (cold_w == lane_dl and cold_e < lane_eid)
-                                ):
-                                    if lane_dl >= 0:
-                                        fired, last = cold_drain(lane_dl, 1, lane_eid)
-                                    else:
-                                        fired, last = cold_drain(None, 0, 0)
-                                    processed += fired
-                                    if last > now:
-                                        now = last
-                                else:
-                                    before = completed
-                                    if cold_w >= 0:
-                                        fired, bulk, last = lane_drain(
-                                            cold_w, 1, cold_e, backlog or None, False
-                                        )
-                                    else:
-                                        fired, bulk, last = lane_drain(
-                                            None, 0, 0, backlog or None, False
-                                        )
-                                    processed += fired
-                                    if bulk:
-                                        completed += bulk
-                                        free_slots += bulk
-                                    if last > now:
-                                        now = last
-                                    if (before >> 10) != (completed >> 10):
-                                        env._now = now
-                                        sample()
-                                head = lane_head()
-                                if head is None:
-                                    lane_dl = -1
-                                else:
-                                    lane_dl, lane_eid = head
-                                head = cold_head()
-                                if head is None:
-                                    cold_w = -1
-                                else:
-                                    cold_w, cold_e = head
-                            env._now = now
-                            return
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        clear = not spill and not overflow
-                    when = entry[0]
-                    prio = entry[1]
-                    # Strict merge: both lanes drained up to this wheel
-                    # entry's key before it dispatches.
-                    while lane_dl >= 0 or cold_w >= 0:
-                        if cold_w >= 0 and (
-                            lane_dl < 0
-                            or cold_w < lane_dl
-                            or (cold_w == lane_dl and cold_e < lane_eid)
-                        ):
-                            hw = cold_w
-                            he = cold_e
-                            use_cold = True
-                        else:
-                            hw = lane_dl
-                            he = lane_eid
-                            use_cold = False
-                        if hw > when or (
-                            hw == when and (prio < 1 or (prio == 1 and he >= entry[2]))
-                        ):
-                            break
-                        env._ai = ai
-                        env._now = now
-                        if use_cold:
-                            if lane_dl >= 0 and (
-                                lane_dl < when
-                                or (
-                                    lane_dl == when
-                                    and (prio > 1 or (prio == 1 and lane_eid < entry[2]))
-                                )
-                            ):
-                                fired, last = cold_drain(lane_dl, 1, lane_eid)
-                            else:
-                                fired, last = cold_drain(when, prio, entry[2])
-                            processed += fired
-                            if last > now:
-                                now = last
-                        else:
-                            before = completed
-                            if cold_w >= 0 and (
-                                cold_w < when
-                                or (
-                                    cold_w == when
-                                    and (prio > 1 or (prio == 1 and cold_e < entry[2]))
-                                )
-                            ):
-                                fired, bulk, last = lane_drain(
-                                    cold_w, 1, cold_e, backlog or None, False
-                                )
-                            else:
-                                fired, bulk, last = lane_drain(
-                                    when, prio, entry[2], backlog or None, False
-                                )
-                            processed += fired
-                            if bulk:
-                                completed += bulk
-                                free_slots += bulk
-                            if last > now:
-                                now = last
-                            if (before >> 10) != (completed >> 10):
-                                env._now = now
-                                sample()
-                        head = lane_head()
-                        if head is None:
-                            lane_dl = -1
-                        else:
-                            lane_dl, lane_eid = head
-                        head = cold_head()
-                        if head is None:
-                            cold_w = -1
-                        else:
-                            cold_w, cold_e = head
-                    event = entry[3]
-                    now = when
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            admit_chunk()
-                            clear = not spill and not overflow
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                env._now = now
-                                env._ai = ai
-                                flush()
-                            lease_when = now + (
-                                service if service <= interval else interval
-                            )
-                            eid = admit(lease_when, now + service)
-                            if lane_dl < 0 or lease_when < lane_dl or (
-                                lease_when == lane_dl and eid < lane_eid
-                            ):
-                                lane_dl = lease_when
-                                lane_eid = eid
-                        elif len(backlog) >= threshold:
-                            cold_starts += 1
-                            cold_busy_ns += spawn + service
-                            ready = now + spawn
-                            ceid = cold_admit(ready, now, service)
-                            if cold_w < 0 or ready < cold_w or (
-                                ready == cold_w and ceid < cold_e
-                            ):
-                                cold_w = ready
-                                cold_e = ceid
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    clear = not spill and not overflow
-                    head = lane_head()
-                    if head is None:
-                        lane_dl = -1
-                    else:
-                        lane_dl, lane_eid = head
-                    head = cold_head()
-                    if head is None:
-                        cold_w = -1
-                    else:
-                        cold_w, cold_e = head
-            finally:
-                env._ai = ai
-                env._now = now
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-            self.cold_starts = cold_starts
-            self.cold_busy_ns = cold_busy_ns
-            self.cold_reclaimed = cold_reclaimed
-            self.cold_retained = cold_retained
-            self.cold_alive = cold_alive
-
-        self._on_arrival = on_arrival
-        self._kernel_sync = sync
-        self._kernel_drive = drive
-        admit_chunk()
-
     def _handle_arrival(self, _event) -> None:
         env = self.env
         now = env._now
@@ -2752,8 +1722,8 @@ class _ShardDriver:
         if self.free_slots:
             self.free_slots -= 1
             self._begin(now, service)
-        elif self._cold_mode and len(self.backlog) >= self._threshold:
-            self._cold_start(now, service)
+        elif len(self.backlog) >= self._threshold:
+            self._cold_start(service)
         else:
             backlog = self.backlog
             backlog.append((now, service))
@@ -2761,11 +1731,11 @@ class _ShardDriver:
             if len(backlog) > self.max_backlog:
                 self.max_backlog = len(backlog)
 
-    def _cold_start(self, now: int, service: int) -> None:
+    def _cold_start(self, service: int) -> None:
         """Dry-pool arrival goes cold: spin a sandbox up instead of
         queueing.  The spin-up timer carries the service draw; the
         sojourn (spawn + service) is recorded when the sandbox is ready
-        and the executor joins the pool via a normal lease."""
+        and the executor joins the pool with an ordinary completion."""
         self.cold_starts += 1
         self.cold_busy_ns += self._spawn + service
         event = BatchEvent(self.env, self._cold_cbs, service)
@@ -2773,28 +1743,24 @@ class _ShardDriver:
 
     def _handle_cold(self, event) -> None:
         """Sandbox ready: record the cold sojourn, start the invocation
-        on the new executor (reusing the spin-up event as its lease
-        timer), and arm the optional idle-reclaim expiry."""
-        now = self.env._now
+        on the new executor (reusing the spin-up event as its completion
+        event), and arm the optional idle-reclaim expiry -- completion
+        eid first, reclaim eid second, so an exact completion/reclaim
+        tie frees the slot before the reclaim looks at it."""
         service = event._value
         buffer = self._buffer
         buffer.append(self._spawn + service)
         if len(buffer) >= _FLUSH_BATCH:
             self._flush()
         self.cold_alive += 1
-        interval = self._interval
-        # Lease eid first, reclaim eid second: the vectorized cold lane
-        # interleaves its bulk reservations the same way.
-        event._value = now + service
         event.callbacks = self._lease_cbs
-        self._schedule(event, service if service <= interval else interval)
+        self._complete_after(event, service)
         if self._keepalive:
             self._schedule(BatchEvent(self.env, self._reclaim_cbs, 0), self._keepalive)
 
     def _handle_reclaim(self, _event) -> None:
         """Idle-reclaim expiry: tear one cold executor down iff the pool
-        has an idle slot to give back (outcomes depend only on the two
-        gauges, which is what lets bulk expiry runs fold exactly)."""
+        has an idle slot to give back."""
         if self.free_slots and self.cold_alive:
             self.free_slots -= 1
             self.cold_alive -= 1
@@ -2803,26 +1769,38 @@ class _ShardDriver:
             self.cold_retained += 1
 
     def _begin(self, arrival_ns: int, service: int) -> None:
+        """Dispatch into a slot: record the sojourn and schedule the
+        completion (see :meth:`_complete_after`)."""
         now = self.env._now
         buffer = self._buffer
         buffer.append(now - arrival_ns + service)
         if len(buffer) >= _FLUSH_BATCH:
             self._flush()
-        interval = self._interval
-        # A BatchEvent is the cheapest schedulable event (five slot
-        # stores, no validation chain): the lease timer needs nothing
-        # more, and the deadline/eid sequence -- hence the fingerprint
-        # -- is identical to the pooled-Timeout recipe.
-        event = BatchEvent(self.env, self._lease_cbs, now + service)
-        self._schedule(event, service if service <= interval else interval)
+        self._complete_after(BatchEvent(self.env, self._lease_cbs, 0), service)
 
-    def _handle_lease(self, event) -> None:
-        remaining = event._value - self.env._now
-        if remaining > 0:
-            interval = self._interval
-            # Tuple dispatch descriptor: still attached, just re-insert.
-            self._schedule(event, interval if remaining > interval else remaining)
-            return
+    def _complete_after(self, event, service: int) -> None:
+        """The per-event dispatch contract both referees share: one
+        completion event at the finish time, its eid drawn *here*, at
+        the dispatch sequence point -- the anchor of the cross-engine
+        tie-break contract -- plus, for leases longer than one check
+        interval, a renewal-check hop chain carrying only the finish
+        time.  The hops re-arm only their own chain, so their fire
+        order and eids are unobservable; the batch kernels count them
+        arithmetically instead of walking them."""
+        schedule = self._schedule
+        schedule(event, service)
+        if service > self._interval:
+            env = self.env
+            schedule(BatchEvent(env, self._hop_cbs, env._now + service), self._interval)
+
+    def _handle_hop(self, event) -> None:
+        """Per-interval lease-renewal check: re-arm while the next check
+        still lands strictly before the lease's finish, then vanish.
+        Fires exactly ``(service - 1) // interval`` times per lease."""
+        if self.env._now + self._interval < event._value:
+            self._schedule(event, self._interval)
+
+    def _handle_lease(self, _event) -> None:
         completed = self.completed + 1
         self.completed = completed
         if not completed & 0x3FF and self._is_wheel:
@@ -2939,6 +1917,7 @@ def _run_shard(
     _validate_admission(admission)
     _validate_lease_lane(lease_lane)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
+    _validate_lease_interval(lease_check_interval_ns)
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} outside [0, {shards})")
     env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
@@ -3181,6 +2160,7 @@ def run_scale_sharded(
     _validate_admission(admission)
     _validate_lease_lane(lease_lane)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
+    _validate_lease_interval(lease_check_interval_ns)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards > invocations:
@@ -3592,24 +2572,15 @@ class _TenantDriver:
                 self.max_backlog_by[tenant] = len(backlog)
 
     def _begin(self, tenant: int, pool: int, arrival_ns: int, service: int) -> None:
-        """Dispatch into a slot: one completion event at the finish time
-        (its eid drawn *here*, at the dispatch sequence point -- the
-        anchor of the cross-engine tie-break contract) plus, for leases
-        longer than one check interval, a renewal-check hop chain.  The
-        hops are pure bookkeeping (each re-arms only its own chain), so
-        their fire order -- and their eids -- are unobservable; the
-        batch-wheel kernel counts them arithmetically instead of
-        walking them."""
+        """Dispatch into a slot under the shared per-event contract
+        (:meth:`_ShardDriver._complete_after`)."""
         now = self.env._now
         self._buf_tenant.append(tenant)
         self._buf_sojourn.append(now - arrival_ns + service)
         if len(self._buf_sojourn) >= _FLUSH_BATCH:
             self._flush()
         event = TenantEvent(self.env, self._lease_cbs, now + service, tenant, pool)
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
+        self._complete_after(event, service)
 
     def _redispatch(self, event, tenant: int, arrival_ns: int, service: int) -> None:
         """Reuse a completed slot's event for the waiter it serves."""
@@ -3619,17 +2590,10 @@ class _TenantDriver:
         if len(self._buf_sojourn) >= _FLUSH_BATCH:
             self._flush()
         event._value = now + service
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
+        self._complete_after(event, service)
 
-    def _handle_hop(self, event) -> None:
-        """Per-interval lease-renewal check: re-arm while the next check
-        still lands strictly before the lease's finish, then vanish.
-        Fires exactly ``(service - 1) // interval`` times per lease."""
-        if self.env._now + self._interval < event._value:
-            self._schedule(event, self._interval)
+    _complete_after = _ShardDriver._complete_after
+    _handle_hop = _ShardDriver._handle_hop
 
     def _handle_lease(self, event) -> None:
         completed = self.completed + 1
@@ -3680,10 +2644,7 @@ class _TenantDriver:
             self._flush()
         event._value = now + service
         event.callbacks = self._lease_cbs
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
+        self._complete_after(event, service)
 
     # -- vectorized flush: the admission-outcome classifier ------------
 
@@ -4365,6 +3326,7 @@ def _run_tenant_shard(
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
+    _validate_lease_interval(lease_check_interval_ns)
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} outside [0, {shards})")
     config = MultiTenantConfig(
@@ -4553,6 +3515,7 @@ def run_tenant_scale(
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
+    _validate_lease_interval(lease_check_interval_ns)
     _tenant_pool_plan(specs, workers, partitioning)  # fail fast on thin pools
     total = sum(spec.invocations for spec in specs)
     if shards < 1:

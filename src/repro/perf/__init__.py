@@ -46,8 +46,6 @@ class Counters:
         "lane_entries",
         "lane_slabs",
         "lane_rearm_batches",
-        "cold_lane_entries",
-        "cold_lane_slabs",
         "cold_spinups",
         "cold_reclaims",
         "lease_grants",
@@ -94,10 +92,6 @@ class Counters:
         self.lane_slabs = 0
         #: Vectorized lease re-arm passes (one per masked slab).
         self.lane_rearm_batches = 0
-        #: Peak sampled cold-lane residency (pending spin-ups + reclaims).
-        self.cold_lane_entries = 0
-        #: Cold-lane drain calls that fired at least one entry.
-        self.cold_lane_slabs = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
         self.cold_spinups = 0
         #: Idle-reclaim expiries fired (successful teardowns only).
@@ -122,8 +116,6 @@ _GAUGES = frozenset(
         "lane_entries",
         "lane_slabs",
         "lane_rearm_batches",
-        "cold_lane_entries",
-        "cold_lane_slabs",
         "leases_active_peak",
     }
 )

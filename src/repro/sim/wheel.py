@@ -108,27 +108,6 @@ order, exactly the ids scalar re-arms would draw, because completions
 with an empty backlog allocate none.  When completion order *is*
 observable (caller passes its backlog), the lane falls back to an exact
 scalar merge until the backlog drains.
-
-Cold lane (:class:`ColdLane`)
------------------------------
-The dry-pool cold-start path (PR 9) adds a second homogeneous event
-class: sandbox *spin-ups* (ready at ``arrival + spawn`` for a constant
-per-profile spawn cost) and *idle reclaims* (due at ``ready +
-keepalive``).  Both sequences are admitted in fire order, so each is an
-append-only sorted calendar -- parallel ``int64`` ready-time / arrival
-/ service / eid vectors for spin-ups, ``(when, eid)`` vectors for
-reclaims -- and a drain is a ``searchsorted`` due-prefix per calendar,
-merged against each other (and a tiny out-of-order heap) under the
-global ``(when, NORMAL, eid)`` key.  Because a spin-up's effects admit
-new entries (a lease for the executing invocation, a reclaim expiry),
-every drain call is capped at one *admission window* -- ``first fire +
-admit_gap``, where ``admit_gap`` lower-bounds how far ahead any
-admission can land -- so nothing admitted mid-drain can be due inside
-the window; the caller re-reads all lane heads between calls.  The
-effect hooks (``on_ready`` / ``on_ready_slab`` / ``on_reclaim``) stay
-with the driver, which owns the entry-id discipline: a bulk spin-up
-slab reserves one contiguous eid block and interleaves lease/reclaim
-ids exactly as scalar fires would draw them.
 """
 
 from __future__ import annotations
@@ -183,11 +162,6 @@ _LANE_IRR_BLOCKS = 16
 _REFILL_ARGSORT_MIN = 1024
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-#: Sentinel eid bound meaning "every eid at this timestamp is due"
-#: (used when normalizing a (when, priority, eid) limit whose priority
-#: sorts after NORMAL into a plain (when, eid) strict bound).
-_EID_UNBOUNDED = 1 << 62
 
 
 def validate_granularity_bits(value: Union[int, str]) -> Union[int, str]:
@@ -380,14 +354,13 @@ class LeaseLane:
     def admit_block(self, whens: Any, finishes: Any, eids: Any) -> None:
         """Admit a cohort with caller-allocated entry ids.
 
-        The cold-start kernel draws one interleaved ``reserve_eids``
-        block per spin-up slab (lease id then reclaim id per spin-up,
-        in fire order), so lease ids arrive here pre-assigned instead
-        of being allocated per admission.  The arrays may be unsorted
-        (cold-start deadlines mix service lengths); they are lexsorted
-        by ``(deadline, eid)``.  Blocks behind the append floor become
-        side blocks, which drain vectorized for ``strict=False``
-        callers and scalar-exact otherwise.
+        For callers that draw their own ids (one ``reserve_eids`` block
+        interleaved with ids for other event classes), so ids arrive
+        pre-assigned instead of being allocated per admission.  The
+        arrays may be unsorted; they are lexsorted by ``(deadline,
+        eid)``.  Blocks behind the append floor become side blocks,
+        which drain vectorized for ``strict=False`` callers and
+        scalar-exact otherwise.
         """
         dl = np.asarray(whens, dtype=np.int64)
         fin = np.asarray(finishes, dtype=np.int64)
@@ -924,562 +897,6 @@ class LeaseLane:
         )
 
 
-class ColdLane:
-    """Struct-of-arrays calendar for sandbox spin-ups and idle reclaims.
-
-    See the module docstring ("Cold lane").  Two append-only sorted
-    calendars -- spin-ups become ready at ``arrival + spawn`` for a
-    constant spawn cost (arrivals are monotone, so ready times are) and
-    reclaims expire at ``ready + keepalive`` (fires are monotone) --
-    plus a tiny heap for out-of-order admissions from generic callers.
-    The lane stores *times and payloads only*; the owner supplies the
-    effect hooks and keeps the entry-id discipline:
-
-    ``on_ready(when, arrival, service)``
-        one spin-up reached ready (scalar path; the hook admits the
-        executing invocation's lease and, optionally, a reclaim expiry,
-        allocating ids at per-event sequence points).
-    ``on_ready_slab(when_a, arrival_a, service_a)``
-        a contiguous due run of spin-ups (the hook reserves one
-        interleaved eid block and files leases/reclaims in bulk).
-    ``on_reclaim(count)``
-        *count* consecutive reclaim expiries with no other event
-        between them fired; the hook folds them (reclaim outcomes
-        depend only on pool gauges, so a run is order-free).
-
-    Because fires admit new entries, :meth:`drain` is capped at one
-    *admission window* per call (``first fire + admit_gap``); callers
-    re-read every pending-event head between calls, which is what keeps
-    the merge bit-identical to per-event execution.
-    """
-
-    __slots__ = (
-        "env",
-        "admit_gap",
-        "on_ready",
-        "on_ready_slab",
-        "on_reclaim",
-        # spin-up calendar: sorted (ready, eid) + arrival/service payloads
-        "_s_when",
-        "_s_arr",
-        "_s_srv",
-        "_s_eid",
-        "_si",
-        "_sn_when",
-        "_sn_arr",
-        "_sn_srv",
-        "_sn_eid",
-        "_s_floor",
-        # reclaim calendar: sorted (when, eid), block + tail next-gen
-        "_r_when",
-        "_r_eid",
-        "_ri",
-        "_rn_blocks",
-        "_rn_when",
-        "_rn_eid",
-        "_r_floor",
-        # out-of-order admissions: (when, eid, kind, arrival, service)
-        "_irr_heap",
-        "_count",
-        # gauges
-        "entries_peak",
-        "slabs",
-        "max_slab",
-        "scalar_fires",
-        "generations",
-        "admitted",
-        "spinup_fires",
-        "reclaim_fires",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        admit_gap: int,
-        on_ready: Any = None,
-        on_ready_slab: Any = None,
-        on_reclaim: Any = None,
-    ) -> None:
-        admit_gap = int(admit_gap)
-        if admit_gap < 1:
-            raise ValueError(f"cold lane admit_gap must be >= 1 ns, got {admit_gap}")
-        self.env = env
-        #: Lower bound on how far past a fire its admissions can land
-        #: (min over keepalive, shortest service, lease interval).  A
-        #: drain call never fires past ``first fire + admit_gap``, so
-        #: entries admitted mid-drain are never due inside the call.
-        self.admit_gap = admit_gap
-        self.on_ready = on_ready
-        self.on_ready_slab = on_ready_slab
-        self.on_reclaim = on_reclaim
-        self._s_when = _EMPTY_I64
-        self._s_arr = _EMPTY_I64
-        self._s_srv = _EMPTY_I64
-        self._s_eid = _EMPTY_I64
-        self._si = 0
-        self._sn_when: list[int] = []
-        self._sn_arr: list[int] = []
-        self._sn_srv: list[int] = []
-        self._sn_eid: list[int] = []
-        self._s_floor = 0
-        self._r_when = _EMPTY_I64
-        self._r_eid = _EMPTY_I64
-        self._ri = 0
-        self._rn_blocks: list[tuple] = []
-        self._rn_when: list[int] = []
-        self._rn_eid: list[int] = []
-        self._r_floor = 0
-        self._irr_heap: list[tuple] = []
-        self._count = 0
-        self.entries_peak = 0
-        #: Drain calls that fired at least one entry.
-        self.slabs = 0
-        #: Largest single vectorized run.
-        self.max_slab = 0
-        #: Entries fired one-by-one (tiny runs, heap pops, fire_one).
-        self.scalar_fires = 0
-        #: cur <- nxt swaps (either calendar).
-        self.generations = 0
-        self.admitted = 0
-        #: Spin-ups fired (cold starts that reached ready).
-        self.spinup_fires = 0
-        #: Reclaim expiries fired (successful or not; the hook decides).
-        self.reclaim_fires = 0
-
-    # -- admission -----------------------------------------------------
-
-    def admit(self, ready: int, arrival: int, service: int) -> int:
-        """Admit one spin-up becoming ready at *ready*; returns its eid.
-
-        The id is allocated here, at the sequence point per-event
-        scheduling would allocate it (the dry-pool arrival).  Ready
-        times behind the floor (generic callers only) divert to the
-        fallback heap and fire scalar.
-        """
-        eid = next(self.env._eid)
-        ready = int(ready)
-        if ready >= self._s_floor:
-            self._sn_when.append(ready)
-            self._sn_arr.append(int(arrival))
-            self._sn_srv.append(int(service))
-            self._sn_eid.append(eid)
-            self._s_floor = ready
-        else:
-            heappush(self._irr_heap, (ready, eid, 0, int(arrival), int(service)))
-        count = self._count + 1
-        self._count = count
-        self.admitted += 1
-        if count > self.entries_peak:
-            self.entries_peak = count
-        return eid
-
-    def admit_reclaim(self, when: int) -> int:
-        """Admit one idle-reclaim expiry; returns its eid."""
-        eid = next(self.env._eid)
-        when = int(when)
-        if when >= self._r_floor:
-            self._rn_when.append(when)
-            self._rn_eid.append(eid)
-            self._r_floor = when
-        else:
-            heappush(self._irr_heap, (when, eid, 1, 0, 0))
-        count = self._count + 1
-        self._count = count
-        self.admitted += 1
-        if count > self.entries_peak:
-            self.entries_peak = count
-        return eid
-
-    def admit_reclaim_block(self, whens: Any, eids: Any) -> None:
-        """Bulk reclaim admission with caller-allocated (interleaved) ids.
-
-        *whens* must be non-decreasing (reclaims are admitted in fire
-        order).  A block behind the floor -- impossible for the scale
-        kernel, possible for generic callers -- falls back to scalar
-        heap pushes, which keeps exactness at scalar cost.
-        """
-        when = np.asarray(whens, dtype=np.int64)
-        eid = np.asarray(eids, dtype=np.int64)
-        if when.shape != eid.shape or when.ndim != 1:
-            raise ValueError("reclaim when/eid arrays must be equal 1-D")
-        n = int(when.size)
-        if not n:
-            return
-        if n > 1 and bool((when[1:] < when[:-1]).any()):
-            raise ValueError("reclaim block must be non-decreasing")
-        if int(when[0]) < self._r_floor:
-            heap = self._irr_heap
-            for k in range(n):
-                heappush(heap, (int(when[k]), int(eid[k]), 1, 0, 0))
-        else:
-            if self._rn_when:
-                self._flush_reclaim_tail()
-            self._rn_blocks.append((when, eid))
-            self._r_floor = int(when[-1])
-        self._count += n
-        self.admitted += n
-        if self._count > self.entries_peak:
-            self.entries_peak = self._count
-
-    # -- generation plumbing -------------------------------------------
-
-    def _swap_spin(self) -> None:
-        self._s_when = np.asarray(self._sn_when, dtype=np.int64)
-        self._s_arr = np.asarray(self._sn_arr, dtype=np.int64)
-        self._s_srv = np.asarray(self._sn_srv, dtype=np.int64)
-        self._s_eid = np.asarray(self._sn_eid, dtype=np.int64)
-        self._sn_when = []
-        self._sn_arr = []
-        self._sn_srv = []
-        self._sn_eid = []
-        self._si = 0
-        self.generations += 1
-
-    def _flush_reclaim_tail(self) -> None:
-        self._rn_blocks.append(
-            (
-                np.asarray(self._rn_when, dtype=np.int64),
-                np.asarray(self._rn_eid, dtype=np.int64),
-            )
-        )
-        self._rn_when = []
-        self._rn_eid = []
-
-    def _swap_reclaim(self) -> None:
-        if self._rn_when:
-            self._flush_reclaim_tail()
-        blocks = self._rn_blocks
-        if len(blocks) == 1:
-            when, eid = blocks[0]
-        else:
-            when = np.concatenate([b[0] for b in blocks])
-            eid = np.concatenate([b[1] for b in blocks])
-        blocks.clear()
-        self._r_when = when
-        self._r_eid = eid
-        self._ri = 0
-        self.generations += 1
-
-    def _spin_head(self) -> Optional[tuple]:
-        """(ready, eid) of the next spin-up, swapping generations lazily."""
-        if self._si >= self._s_when.shape[0]:
-            if not self._sn_when:
-                return None
-            self._swap_spin()
-        i = self._si
-        return (int(self._s_when[i]), int(self._s_eid[i]))
-
-    def _reclaim_head(self) -> Optional[tuple]:
-        if self._ri >= self._r_when.shape[0]:
-            if not (self._rn_blocks or self._rn_when):
-                return None
-            self._swap_reclaim()
-        i = self._ri
-        return (int(self._r_when[i]), int(self._r_eid[i]))
-
-    def head_key(self) -> Optional[tuple]:
-        """Minimal pending ``(when, eid)`` key, or ``None`` if empty.
-
-        Non-mutating (next-generation heads are peeked, not swapped),
-        so owners can poll it on hot paths.
-        """
-        have = False
-        bw = be = 0
-        if self._si < self._s_when.shape[0]:
-            bw = int(self._s_when[self._si])
-            be = int(self._s_eid[self._si])
-            have = True
-        elif self._sn_when:
-            bw = self._sn_when[0]
-            be = self._sn_eid[0]
-            have = True
-        if self._ri < self._r_when.shape[0]:
-            w = int(self._r_when[self._ri])
-            e = int(self._r_eid[self._ri])
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
-        elif self._rn_blocks:
-            block = self._rn_blocks[0]
-            w = int(block[0][0])
-            e = int(block[1][0])
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
-        elif self._rn_when:
-            w = self._rn_when[0]
-            e = self._rn_eid[0]
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
-        heap = self._irr_heap
-        if heap:
-            head = heap[0]
-            if not have or head[0] < bw or (head[0] == bw and head[1] < be):
-                bw, be = head[0], head[1]
-                have = True
-        return (bw, be) if have else None
-
-    # -- firing --------------------------------------------------------
-
-    def fire_one(self) -> Optional[int]:
-        """Scalar-fire the earliest entry (exact); returns its time."""
-        s_head = self._spin_head()
-        r_head = self._reclaim_head()
-        heap = self._irr_heap
-        best = s_head
-        src = 1
-        if r_head is not None and (best is None or r_head < best):
-            best = r_head
-            src = 2
-        if heap and (best is None or (heap[0][0], heap[0][1]) < best):
-            best = (heap[0][0], heap[0][1])
-            src = 3
-        if best is None:
-            return None
-        env = self.env
-        self.scalar_fires += 1
-        self._count -= 1
-        if src == 3:
-            w, _e, kind, arrival, service = heappop(heap)
-            env._now = w
-            if kind == 0:
-                self.spinup_fires += 1
-                self.on_ready(w, arrival, service)
-            else:
-                self.reclaim_fires += 1
-                self.on_reclaim(1)
-            return w
-        if src == 1:
-            i = self._si
-            w = int(self._s_when[i])
-            self._si = i + 1
-            env._now = w
-            self.spinup_fires += 1
-            self.on_ready(w, int(self._s_arr[i]), int(self._s_srv[i]))
-            return w
-        i = self._ri
-        w = int(self._r_when[i])
-        self._ri = i + 1
-        env._now = w
-        self.reclaim_fires += 1
-        self.on_reclaim(1)
-        return w
-
-    def _run_end(self, when_a: Any, eid_a: Any, start: int, vw: int, ve: int) -> int:
-        """End of the due prefix strictly preceding the (vw, ve) key."""
-        n = when_a.shape[0]
-        j = start + int(np.searchsorted(when_a[start:], vw, side="left"))
-        if j < n and int(when_a[j]) == vw and ve > 0:
-            j2 = start + int(np.searchsorted(when_a[start:], vw, side="right"))
-            j += int(np.searchsorted(eid_a[j:j2], ve, side="left"))
-        return j
-
-    def drain(self, limit_when: Optional[int], limit_prio: int, limit_eid: int) -> tuple:
-        """Fire entries preceding the limit key, one admission window
-        per call.  Returns ``(fired, last_when)``.
-
-        ``limit_when=None`` means "no external bound" -- the call still
-        stops at the admission window, so callers loop until *fired*
-        comes back 0 (re-reading all lane heads between calls, which is
-        where entries admitted by this call's fires get merged).
-        """
-        # Normalize the (when, priority, eid) limit into a strict
-        # (when, eid) bound at the lane's NORMAL priority.
-        if limit_when is None:
-            lw: Optional[int] = None
-            le = 0
-        elif limit_prio > NORMAL:
-            lw, le = limit_when, _EID_UNBOUNDED
-        elif limit_prio == NORMAL:
-            lw, le = limit_when, limit_eid
-        else:
-            lw, le = limit_when, 0
-        fired = 0
-        last_when = -1
-        cap = -1
-        env = self.env
-        scalar = _LANE_SCALAR_SLAB
-        while True:
-            s_head = self._spin_head()
-            r_head = self._reclaim_head()
-            heap = self._irr_heap
-            best = s_head
-            src = 1
-            if r_head is not None and (best is None or r_head < best):
-                best = r_head
-                src = 2
-            if heap and (best is None or (heap[0][0], heap[0][1]) < best):
-                best = (heap[0][0], heap[0][1])
-                src = 3
-            if best is None:
-                break
-            bw, be = best
-            if lw is not None and (bw > lw or (bw == lw and be >= le)):
-                break
-            if cap < 0:
-                cap = bw + self.admit_gap
-            elif bw >= cap:
-                break
-            if src == 3:
-                w, _e, kind, arrival, service = heappop(heap)
-                self._count -= 1
-                fired += 1
-                self.scalar_fires += 1
-                env._now = w
-                if w > last_when:
-                    last_when = w
-                if kind == 0:
-                    self.spinup_fires += 1
-                    self.on_ready(w, arrival, service)
-                else:
-                    self.reclaim_fires += 1
-                    self.on_reclaim(1)
-                continue
-            # Vector bound for a contiguous run: min over the external
-            # limit, the admission-window cap, the other calendar's head
-            # and the fallback heap's head.
-            vw, ve = (lw, le) if lw is not None else (cap, 0)
-            if lw is not None and cap < vw:
-                vw, ve = cap, 0
-            other = r_head if src == 1 else s_head
-            if other is not None and other < (vw, ve):
-                vw, ve = other
-            if heap and (heap[0][0], heap[0][1]) < (vw, ve):
-                vw, ve = heap[0][0], heap[0][1]
-            if src == 1:
-                when_a = self._s_when
-                start = self._si
-                j = self._run_end(when_a, self._s_eid, start, vw, ve)
-                n = j - start
-                w = int(when_a[j - 1])
-                env._now = w
-                if n < scalar:
-                    on_ready = self.on_ready
-                    arr_a = self._s_arr
-                    srv_a = self._s_srv
-                    for k in range(start, j):
-                        wk = int(when_a[k])
-                        env._now = wk
-                        on_ready(wk, int(arr_a[k]), int(srv_a[k]))
-                    self.scalar_fires += n
-                else:
-                    self.on_ready_slab(
-                        when_a[start:j], self._s_arr[start:j], self._s_srv[start:j]
-                    )
-                    if n > self.max_slab:
-                        self.max_slab = n
-                self._si = j
-                self.spinup_fires += n
-            else:
-                when_a = self._r_when
-                start = self._ri
-                j = self._run_end(when_a, self._r_eid, start, vw, ve)
-                n = j - start
-                w = int(when_a[j - 1])
-                env._now = w
-                self._ri = j
-                # A reclaim run with nothing between its members folds
-                # into one hook call whatever its size (outcomes depend
-                # only on pool gauges, not on per-entry state).
-                self.on_reclaim(n)
-                self.reclaim_fires += n
-                if n > self.max_slab:
-                    self.max_slab = n
-            self._count -= n
-            fired += n
-            if w > last_when:
-                last_when = w
-        if fired:
-            self.slabs += 1
-        return fired, last_when
-
-    def drain_spinups_all(self) -> int:
-        """Fire every pending spin-up, in admission order, as maximal
-        slabs; returns how many fired.
-
-        Only valid while the reclaim calendar and the fallback heap
-        are empty (idle-reclaim disabled).  A spin-up's effects are
-        computed from its own stored times -- the sojourn is
-        ``spawn + service``, its lease lands at ``ready + min(service,
-        interval)`` -- and with no reclaims pending nothing ever reads
-        the gauges it bumps before those admissions come due, so
-        firing the whole backlog early (without touching the clock) is
-        observationally identical to firing each entry at its exact
-        ``ready``.  This is the cold kernel's keepalive-0 fast path:
-        under a saturated pool ``spawn / gap`` spin-ups pile up before
-        the merge first catches up to the oldest ready, so the whole
-        set goes through ``on_ready_slab`` as one vectorized run
-        instead of one scalar fire per interleaved arrival.
-        """
-        if (
-            self._ri < self._r_when.shape[0]
-            or self._rn_blocks
-            or self._rn_when
-            or self._irr_heap
-        ):
-            raise RuntimeError(
-                "drain_spinups_all needs an empty reclaim calendar and "
-                "fallback heap (keepalive-0 mode only)"
-            )
-        fired = 0
-        scalar = _LANE_SCALAR_SLAB
-        while True:
-            j = self._s_when.shape[0]
-            start = self._si
-            if start >= j:
-                if not self._sn_when:
-                    break
-                self._swap_spin()
-                continue
-            n = j - start
-            if n < scalar:
-                on_ready = self.on_ready
-                when_a = self._s_when
-                arr_a = self._s_arr
-                srv_a = self._s_srv
-                for k in range(start, j):
-                    on_ready(int(when_a[k]), int(arr_a[k]), int(srv_a[k]))
-                self.scalar_fires += n
-            else:
-                self.on_ready_slab(
-                    self._s_when[start:j], self._s_arr[start:j], self._s_srv[start:j]
-                )
-                if n > self.max_slab:
-                    self.max_slab = n
-            self._si = j
-            self.spinup_fires += n
-            self._count -= n
-            fired += n
-        if fired:
-            self.slabs += 1
-        return fired
-
-    # -- introspection -------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._count
-
-    def stats(self) -> dict[str, int]:
-        """Gauges for occupancy sampling and the bench cold guards."""
-        return {
-            "cold_entries": self._count,
-            "cold_entries_peak": self.entries_peak,
-            "cold_slabs": self.slabs,
-            "cold_max_slab": self.max_slab,
-            "cold_scalar_fires": self.scalar_fires,
-            "cold_spinups": self.spinup_fires,
-            "cold_reclaim_fires": self.reclaim_fires,
-            "cold_generations": self.generations,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<ColdLane gap={self.admit_gap}ns pending={self._count} "
-            f"peak={self.entries_peak}>"
-        )
-
-
 class WheelEnvironment(Environment):
     """Drop-in :class:`Environment` with a hierarchical timer wheel.
 
@@ -1517,7 +934,6 @@ class WheelEnvironment(Environment):
         "_sample_tick",
         "occupancy_samples",
         "_lane",
-        "_cold",
     )
 
     def __init__(
@@ -1571,8 +987,6 @@ class WheelEnvironment(Environment):
         self.overflow_inserts = 0
         #: Optional :class:`LeaseLane` side calendar (see attach_lease_lane).
         self._lane: Optional[LeaseLane] = None
-        #: Optional :class:`ColdLane` side calendar (see attach_cold_lane).
-        self._cold: Optional[ColdLane] = None
 
     # -- lease lane ----------------------------------------------------
 
@@ -1594,30 +1008,6 @@ class WheelEnvironment(Environment):
             raise RuntimeError("lease lane already attached")
         lane = LeaseLane(self, interval, on_complete)
         self._lane = lane
-        return lane
-
-    @property
-    def cold_lane(self) -> Optional["ColdLane"]:
-        return self._cold
-
-    def attach_cold_lane(
-        self,
-        admit_gap: int,
-        on_ready: Any = None,
-        on_ready_slab: Any = None,
-        on_reclaim: Any = None,
-    ) -> "ColdLane":
-        """Attach a :class:`ColdLane` for spin-up/reclaim calendars.
-
-        At most one cold lane per environment; it composes with a lease
-        lane (the generic loop and the fused cold kernel both merge the
-        two lanes against the wheel under the global ``(when, priority,
-        eid)`` contract, every lane entry at ``NORMAL`` priority).
-        """
-        if self._cold is not None:
-            raise RuntimeError("cold lane already attached")
-        lane = ColdLane(self, admit_gap, on_ready, on_ready_slab, on_reclaim)
-        self._cold = lane
         return lane
 
     # -- scheduling ----------------------------------------------------
@@ -2064,18 +1454,12 @@ class WheelEnvironment(Environment):
         if lane is not None:
             head = lane.head_key()
             if head is not None and (best is None or head[0] < best[0]):
-                best = (head[0],)
-        cold = self._cold
-        if cold is not None:
-            head = cold.head_key()
-            if head is not None and (best is None or head[0] < best[0]):
                 return head[0]
         return best[0] if best is not None else None
 
     def pending_events(self) -> int:
         """Total events currently scheduled (all structures)."""
         lane = self._lane
-        cold = self._cold
         return (
             len(self._active)
             - self._ai
@@ -2084,7 +1468,6 @@ class WheelEnvironment(Environment):
             + self._l1_count
             + len(self._queue)
             + (len(lane) if lane is not None else 0)
-            + (len(cold) if cold is not None else 0)
         )
 
     def occupancy(self) -> dict[str, int]:
@@ -2122,20 +1505,6 @@ class WheelEnvironment(Environment):
                 lane_rearm_batches=0,
                 lane_scalar_fires=0,
                 lane_generations=0,
-            )
-        cold = self._cold
-        if cold is not None:
-            occ.update(cold.stats())
-        else:
-            occ.update(
-                cold_entries=0,
-                cold_entries_peak=0,
-                cold_slabs=0,
-                cold_max_slab=0,
-                cold_scalar_fires=0,
-                cold_spinups=0,
-                cold_reclaim_fires=0,
-                cold_generations=0,
             )
         return occ
 
@@ -2175,12 +1544,6 @@ class WheelEnvironment(Environment):
                 counters.lane_rearm_batches = max(
                     counters.lane_rearm_batches, occupancy["lane_rearm_batches"]
                 )
-            if self._cold is not None:
-                if occupancy["cold_entries"] > counters.cold_lane_entries:
-                    counters.cold_lane_entries = occupancy["cold_entries"]
-                counters.cold_lane_slabs = max(
-                    counters.cold_lane_slabs, occupancy["cold_slabs"]
-                )
         return occupancy
 
     # -- event loop ----------------------------------------------------
@@ -2188,24 +1551,17 @@ class WheelEnvironment(Environment):
     def step(self) -> None:
         """Process exactly one event (same semantics as the base class).
 
-        With a lease lane and/or cold lane attached, the lane heads are
-        merged against the wheel head under the global ``(when,
-        priority, eid)`` order and the earliest fires first.
+        With a lease lane attached, the lane head is merged against the
+        wheel head under the global ``(when, priority, eid)`` order and
+        the earlier fires first.
         """
         lane = self._lane
-        cold = self._cold
-        if lane is not None or cold is not None:
-            head = lane.head_key() if lane is not None else None
-            fire = lane
-            if cold is not None:
-                chead = cold.head_key()
-                if chead is not None and (head is None or chead < head):
-                    head = chead
-                    fire = cold
+        if lane is not None:
+            head = lane.head_key()
             if head is not None:
                 key = self._peek_key()
                 if key is None or (head[0], NORMAL, head[1]) < key:
-                    fire.fire_one()
+                    lane.fire_one()
                     self.events_processed += 1
                     return
         try:
@@ -2280,7 +1636,7 @@ class WheelEnvironment(Environment):
 
     def run(self, until: Union[None, int, Event] = None) -> Any:
         """Run the simulation (same contract as the base class)."""
-        if self._lane is not None or self._cold is not None:
+        if self._lane is not None:
             return self._run_with_lane(until)
         if until is not None:
             if isinstance(until, Event):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.experiments.bench import check_regression
-from repro.experiments.scale import QUICK_KWARGS, run_scale
+from repro.experiments.scale import (
+    QUICK_KWARGS,
+    run_scale,
+    run_scale_sharded,
+    run_tenant_scale,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,29 @@ def test_table_renders(quick_runs):
 def test_rejects_empty_run():
     with pytest.raises(ValueError):
         run_scale(invocations=0, workers=4)
+
+
+@pytest.mark.parametrize("interval", [0, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda interval: run_scale(
+            invocations=10, workers=4, lease_check_interval_ns=interval
+        ),
+        lambda interval: run_scale_sharded(
+            invocations=10, workers=4, shards=2, lease_check_interval_ns=interval
+        ),
+        lambda interval: run_tenant_scale(
+            invocations=10, workers=64, lease_check_interval_ns=interval
+        ),
+    ],
+    ids=["run_scale", "run_scale_sharded", "run_tenant_scale"],
+)
+def test_lease_check_interval_validated_at_build(entry, interval):
+    """A non-positive check period is rejected where the config is built,
+    not as a ZeroDivisionError or negative-delay error inside an engine."""
+    with pytest.raises(ValueError, match="lease_check_interval_ns must be >= 1"):
+        entry(interval)
 
 
 def test_rss_regression_guard(tmp_path):

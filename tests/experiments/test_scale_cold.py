@@ -1,14 +1,17 @@
 """Cold-start engine bit-identity and plumbing at the experiment layer.
 
 The acceptance contract: under ``pool_policy`` in {cold, hybrid} the
-cold-lane wheel engine, the lane-off batch kernel and the per-event
-heap referee must produce bit-identical fingerprints -- across arrival
-shapes, keepalive on and off (strict vs commuting kernels), dense-gap
-saturation, and K-shard decompositions.  Plus the knob validation
-boundary, the coldstart harness, and the bench guard's cold checks.
+hop-virtualized batch kernel (on the wheel and on the heap) and the
+per-event heap referee must produce bit-identical fingerprints --
+across arrival shapes, keepalive on and off, exact completion/reclaim
+ties, dense-gap saturation, and K-shard decompositions.  A closed-form
+event count checks the engines against arithmetic that shares no
+event semantics with the DES.  Plus the knob validation boundary, the
+coldstart harness, and the bench guard's cold checks.
 """
 
 import json
+import math
 
 import pytest
 
@@ -33,27 +36,32 @@ def _fp(**kwargs):
     return run_scale(**kwargs).fingerprint()
 
 
-def _three_way(**kwargs):
+def _all_engines(**kwargs):
+    """Per-event heap referee vs the batch kernel on the wheel and on the
+    heap.  ``lease_lane`` must not matter for cold/hybrid runs, so the
+    wheel runs once with each setting."""
     heap = _fp(scheduler="heap", admission="per-event", **kwargs)
     off = _fp(scheduler="wheel", admission="batch", lease_lane="off", **kwargs)
     on = _fp(scheduler="wheel", admission="batch", lease_lane="on", **kwargs)
+    heap_batch = _fp(scheduler="heap", admission="batch", **kwargs)
     assert heap == off
     assert off == on
+    assert heap_batch == heap
     return heap
 
 
 @pytest.mark.parametrize("shape", ["poisson", "bursty", "diurnal"])
 @pytest.mark.parametrize("policy", ["cold", "hybrid"])
 def test_cold_identity_across_shapes_and_policies(shape, policy):
-    fp = _three_way(**{**COLD, "pool_policy": policy, "arrival_shape": shape})
+    fp = _all_engines(**{**COLD, "pool_policy": policy, "arrival_shape": shape})
     assert fp["cold_starts"] > 0
 
 
 def test_cold_identity_dense_gap_saturated():
     # Arrivals every ~40 ns against a 1 ms spawn: thousands of pending
-    # spin-ups per slab, chunk admissions landing mid-backlog -- the
-    # config that catches eid-tie divergence.
-    fp = _three_way(
+    # spin-ups, chunk admissions landing mid-backlog -- the config that
+    # catches eid-tie divergence.
+    fp = _all_engines(
         invocations=20_000, workers=256, mean_arrival_gap_ns=40,
         pool_policy="cold", start_model="remote-fork", keepalive_ns=0,
     )
@@ -62,9 +70,9 @@ def test_cold_identity_dense_gap_saturated():
 
 @pytest.mark.parametrize("policy", ["cold", "hybrid"])
 def test_cold_identity_with_keepalive_strict_kernel(policy):
-    # keepalive > 0 routes to the strict-interleave kernel; a breathing
-    # pool exercises both reclaim outcomes (success and retain).
-    fp = _three_way(
+    # keepalive > 0 arms idle reclaims; a breathing pool exercises both
+    # reclaim outcomes (success and retain).
+    fp = _all_engines(
         invocations=8_000, workers=512, mean_arrival_gap_ns=us(2),
         arrival_shape="bursty", pool_policy=policy, hybrid_threshold=16,
         start_model="remote-fork", keepalive_ns=ms(1),
@@ -76,7 +84,7 @@ def test_cold_identity_with_keepalive_strict_kernel(policy):
 def test_cold_identity_mixed_warm_and_cold():
     # Pool dips in and out of dryness: warm leases, backlog pops and
     # spin-ups interleave at the same nanoseconds.
-    fp = _three_way(
+    fp = _all_engines(
         invocations=8_000, workers=2_048, mean_arrival_gap_ns=us(1),
         arrival_shape="diurnal", pool_policy="hybrid", hybrid_threshold=16,
         start_model="bare-metal", keepalive_ns=0,
@@ -103,9 +111,63 @@ def test_cold_gauges_populate():
         scheduler="wheel", admission="batch", lease_lane="on", **COLD
     )
     occ = result.occupancy
-    assert occ["cold_entries_peak"] > 0
-    assert occ["cold_spinups"] == result.cold_starts
-    assert occ["cold_slabs"] >= 1
+    assert result.cold_starts > 0
+    assert result.cold_busy_ns > 0
+    # Cold runs take the batch kernel whatever lease_lane says: no lane
+    # is attached, and cold starts are plain scheduler events.
+    assert occ["lane_entries_peak"] == 0
+    assert not any(key.startswith("cold_") for key in occ)
+
+
+#: Exact-tie stress: a constant 100 ms service and a 100 ms keepalive
+#: make every cold executor's completion land on the same nanosecond
+#: as its idle-reclaim expiry.  Under the dispatch-time eid contract
+#: the completion (eid drawn first) frees the slot before the reclaim
+#: looks at it, in every engine.
+TIE = {
+    "invocations": 20_000,
+    "workers": 64,
+    "mean_arrival_gap_ns": us(25),
+    "service_log_mean": math.log(1e8),
+    "service_log_sigma": 0.0,
+    "keepalive_ns": ms(100),
+    "start_model": "remote-fork",
+    "hybrid_threshold": 8,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("policy", ["cold", "hybrid"])
+def test_completion_reclaim_tie_identity(policy, seed):
+    kwargs = {**TIE, "pool_policy": policy, "seed": seed}
+    fps = [
+        _fp(scheduler="wheel", admission="batch", **kwargs),
+        _fp(scheduler="heap", admission="batch", **kwargs),
+        _fp(scheduler="heap", admission="per-event", **kwargs),
+        _fp(scheduler="wheel", admission="per-event", **kwargs),
+    ]
+    assert all(fp == fps[0] for fp in fps[1:])
+    assert fps[0]["cold_starts"] > 0
+    assert fps[0]["cold_reclaimed"] > 0
+
+
+@pytest.mark.parametrize("keepalive_ns", [0, ms(100)])
+@pytest.mark.parametrize("admission", ["batch", "per-event"])
+def test_event_count_closed_form(admission, keepalive_ns):
+    # With a constant service S every invocation costs one arrival plus
+    # ceil(S / interval) lease events (renewal checks and the
+    # completion); every cold start adds its spin-up, plus its reclaim
+    # expiry when keepalive is on.  Pure arithmetic on the fingerprint's
+    # own counters -- no event semantics shared with the DES.
+    kwargs = {**TIE, "pool_policy": "cold", "keepalive_ns": keepalive_ns}
+    result = run_scale(scheduler="wheel", admission=admission, **kwargs)
+    n = TIE["invocations"]
+    service = int(math.exp(TIE["service_log_mean"]))
+    interval = ms(64)
+    per_cold = 2 if keepalive_ns else 1
+    expected = n + n * -(-service // interval) + result.cold_starts * per_cold
+    assert result.events_processed == expected
+    assert result.cold_starts > 0
 
 
 def test_shard_decomposition_invariance_with_cold_lane():
