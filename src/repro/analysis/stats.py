@@ -24,12 +24,13 @@ one-sort derivation of an arbitrary percentile list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, comb, floor, sqrt
 from statistics import NormalDist
 from typing import Sequence
 
 #: Above this sample size, CI ranks switch from the exact binomial walk
-#: (O(n^2) big-int work) to the normal approximation of the binomial.
+#: (O(n) big-int additions) to the normal approximation of the binomial.
 _EXACT_CI_MAX_N = 2_000
 
 
@@ -94,14 +95,20 @@ def _binomial_cdf(k: int, n: int) -> float:
     return total / 2**n
 
 
+@lru_cache(maxsize=256)
 def median_ci_ranks(n: int, confidence: float = 0.99) -> tuple[int, int]:
     """1-indexed order-statistic ranks (l, u) bracketing the median.
 
-    Exact binomial walk for small n (identical to the historical
-    behaviour); normal approximation of Binomial(n, 1/2) for large n,
-    where the exact walk would grind through O(n) huge binomial
-    coefficients per candidate interval.  Returns ``(1, n)`` when no
-    interior interval achieves the coverage (the conservative choice).
+    Exact binomial walk for small n; normal approximation of
+    Binomial(n, 1/2) for large n.  Returns ``(1, n)`` when no interior
+    interval achieves the coverage (the conservative choice).
+
+    The exact walk builds the integer prefix sums of ``comb(n, i)`` once
+    (O(n) big-int additions) and reads every candidate interval's two
+    CDF values off them, each the same correctly rounded ``int / 2**n``
+    quotient :func:`_binomial_cdf` computes, so the ranks equal those of
+    recomputing both CDFs per candidate.  Memoized per
+    ``(n, confidence)``: callers summarize many series of equal length.
     """
     if n < 1:
         raise ValueError("median_ci_ranks needs n >= 1")
@@ -110,13 +117,17 @@ def median_ci_ranks(n: int, confidence: float = 0.99) -> tuple[int, int]:
     if n == 1:
         return 1, 1
     if n <= _EXACT_CI_MAX_N:
-        for half_width in range(1, n // 2 + 1):
-            lo = n // 2 - half_width + 1
+        # below[k] = sum(comb(n, i) for i in range(k)), so P(B <= k) is
+        # below[k + 1] / 2**n; candidate intervals never need k >= n.
+        below = [0]
+        term = 1
+        for i in range(n):
+            below.append(below[-1] + term)
+            term = term * (n - i) // (i + 1)
+        scale = 2**n
+        for lo in range(n // 2, 0, -1):
             hi = n - lo + 1
-            if lo < 1:
-                break
-            coverage = _binomial_cdf(hi - 2, n) - _binomial_cdf(lo - 2, n)
-            if coverage >= confidence:
+            if below[hi - 1] / scale - below[lo - 1] / scale >= confidence:
                 return lo, hi
         return 1, n
     z = NormalDist().inv_cdf((1 + confidence) / 2)

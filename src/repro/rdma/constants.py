@@ -16,33 +16,28 @@ class Opcode(enum.Enum):
     ATOMIC_FETCH_ADD = "atomic_fetch_add"
     ATOMIC_CMP_SWP = "atomic_cmp_swp"
 
-    @property
-    def consumes_recv_wr(self) -> bool:
-        """Does the responder consume a posted receive for this opcode?"""
-        return self in (Opcode.SEND, Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    # Opcode predicates, precomputed per member below: the data path
+    # reads several per work request, and a plain attribute beats a
+    # property doing a tuple-membership test.
 
-    @property
-    def carries_immediate(self) -> bool:
-        return self in (Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    #: Does the responder consume a posted receive for this opcode?
+    consumes_recv_wr: bool
+    #: Does the work request carry 32-bit immediate data?
+    carries_immediate: bool
+    #: Does the responder validate an rkey for this opcode?
+    needs_remote_key: bool
+    is_atomic: bool
+    #: Does the responder send payload back (READ result, atomic old value)?
+    has_response_data: bool
 
-    @property
-    def needs_remote_key(self) -> bool:
-        return self in (
-            Opcode.RDMA_WRITE,
-            Opcode.RDMA_WRITE_WITH_IMM,
-            Opcode.RDMA_READ,
-            Opcode.ATOMIC_FETCH_ADD,
-            Opcode.ATOMIC_CMP_SWP,
-        )
 
-    @property
-    def is_atomic(self) -> bool:
-        return self in (Opcode.ATOMIC_FETCH_ADD, Opcode.ATOMIC_CMP_SWP)
-
-    @property
-    def has_response_data(self) -> bool:
-        """Does the responder send payload back (READ result, atomic old value)?"""
-        return self is Opcode.RDMA_READ or self.is_atomic
+for _op in Opcode:
+    _op.consumes_recv_wr = _op in (Opcode.SEND, Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    _op.carries_immediate = _op in (Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    _op.needs_remote_key = _op not in (Opcode.SEND, Opcode.SEND_WITH_IMM)
+    _op.is_atomic = _op in (Opcode.ATOMIC_FETCH_ADD, Opcode.ATOMIC_CMP_SWP)
+    _op.has_response_data = _op is Opcode.RDMA_READ or _op.is_atomic
+del _op
 
 
 class WCOpcode(enum.Enum):

@@ -229,28 +229,54 @@ class Fabric:
     def transfer_path(self, path: _Path, size: int):
         """Like :meth:`transfer` but over a pre-resolved :class:`_Path`.
 
-        Data-path callers (one per work request) resolve the path once
-        per connection and reuse it here.  The fault-penalty draw stays
-        first so RNG consumption order matches the uncached code.
+        Built on the same stage helpers the queue pairs call from their
+        timeout callbacks (:meth:`fault_penalty_ns`, :meth:`egress_ns`,
+        :meth:`ingress_ns`), so the wire arithmetic exists once and the
+        fault RNG is drawn in the same order on every path.
         """
         env = self.env
-        if self.faults is not None:
-            penalty = self.faults.penalty_ns()
-            if penalty:
-                # The requester sits out the retransmission timeout.
-                yield env.timeout(penalty)
+        penalty = self.fault_penalty_ns()
+        if penalty:
+            # The requester sits out the retransmission timeout.
+            yield env.timeout(penalty)
+        delay = self.egress_ns(path, size)
         if path.loopback:
-            # NIC-internal loopback: serialization only, no propagation.
-            yield env.timeout(self.model.serialization_ns(size) // 2)
+            yield env.timeout(delay)
             return
+        if delay > 0:
+            yield env.timeout(delay)
+        delay = self.ingress_ns(path, size)
+        if delay > 0:
+            yield env.timeout(delay)
 
-        _, egress_done = path.egress.reserve(size)
-        # Cut-through: the head of the message reaches the destination
-        # after propagation; the tail arrives when the slower of the two
-        # links has clocked all bytes through.
-        head_arrival = egress_done - self.model.serialization_ns(size) + path.propagation_ns
-        if head_arrival > env.now:
-            yield env.timeout(head_arrival - env.now)
-        _, ingress_done = path.ingress.reserve(size)
-        if ingress_done > env.now:
-            yield env.timeout(ingress_done - env.now)
+    # -- transfer stages ---------------------------------------------------
+
+    def fault_penalty_ns(self) -> int:
+        """Draw one transfer's retransmission penalty (0 without faults).
+
+        Every transfer draws first, before it touches a link, so RNG
+        consumption order is the order transfers start in.
+        """
+        faults = self.faults
+        return 0 if faults is None else faults.penalty_ns()
+
+    def egress_ns(self, path: _Path, size: int) -> int:
+        """Book *size* bytes on the path's egress link.
+
+        Returns the ns from now until the head of the message reaches the
+        destination (zero or negative: it already has).  Cut-through: the
+        head leaves when serialization starts and arrives one propagation
+        delay later; the tail arrives when the slower of the two links has
+        clocked all bytes through (:meth:`ingress_ns`).  A loopback path
+        has no links: the whole NIC-internal transfer is serialization
+        only, no propagation, and no ingress stage follows.
+        """
+        if path.loopback:
+            return self.model.serialization_ns(size) // 2
+        start, _ = path.egress.reserve(size)
+        return start + path.propagation_ns - self.env.now
+
+    def ingress_ns(self, path: _Path, size: int) -> int:
+        """Book *size* bytes on the path's ingress link; ns until the last byte is in."""
+        _, done = path.ingress.reserve(size)
+        return done - self.env.now

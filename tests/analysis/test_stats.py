@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from repro.analysis import Table, format_bytes, format_ns, median, median_ci, percentile, summarize
-from repro.analysis.stats import _binomial_cdf
+from repro.analysis.stats import _binomial_cdf, median_ci_ranks
 
 
 def test_median_odd_even():
@@ -49,6 +49,34 @@ def test_binomial_cdf_matches_scipy():
     for n in (1, 5, 10, 37, 100):
         for k in (-1, 0, n // 2, n - 1, n):
             assert _binomial_cdf(k, n) == pytest.approx(sp_stats.binom.cdf(k, n, 0.5), abs=1e-12)
+
+
+def _reference_median_ci_ranks(n, confidence):
+    """Reference for the exact branch: recompute both CDFs per candidate."""
+    if n == 1:
+        return 1, 1
+    for half_width in range(1, n // 2 + 1):
+        lo = n // 2 - half_width + 1
+        hi = n - lo + 1
+        coverage = _binomial_cdf(hi - 2, n) - _binomial_cdf(lo - 2, n)
+        if coverage >= confidence:
+            return lo, hi
+    return 1, n
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+def test_median_ci_ranks_match_reference_walk(confidence):
+    for n in range(1, 161):
+        assert median_ci_ranks(n, confidence) == _reference_median_ci_ranks(n, confidence)
+
+
+def test_median_ci_ranks_memoized_at_exact_limit():
+    median_ci_ranks.cache_clear()
+    first = median_ci_ranks(2_000, 0.99)
+    assert median_ci_ranks(2_000, 0.99) is first
+    assert median_ci_ranks.cache_info().hits >= 1
+    lo, hi = first
+    assert lo + hi == 2_001 and 900 < lo < 1_000
 
 
 def test_median_ci_contains_median():

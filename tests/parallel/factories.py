@@ -69,8 +69,9 @@ def counted_double(x):
 def faulty_rtts(probability, seed, invocations=40):
     """Echo invocations over a flaky fabric; returns (rtts, faults).
 
-    Exercises the full RNG draw order through ``Fabric.transfer_path``
-    -- the determinism surface the cache layer must not perturb.
+    Exercises the full RNG draw order through
+    ``Fabric.fault_penalty_ns`` on the verbs data path -- the
+    determinism surface the cache layer must not perturb.
     """
     from repro.core import Deployment
     from repro.rdma.fabric import FaultModel

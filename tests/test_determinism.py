@@ -13,7 +13,7 @@ from repro.rdma.fabric import FaultModel
 from repro.workloads.noop import noop_package
 
 
-def _invocation_fingerprint(faults=None):
+def _invocation_fingerprint(faults=None, invocations=20):
     """The invocation-benchmark scenario, reduced for test runtime."""
     dep = Deployment.build(executors=1, clients=1, faults=faults)
     dep.settle()
@@ -26,7 +26,7 @@ def _invocation_fingerprint(faults=None):
         in_buf = invoker.alloc_input(1024)
         in_buf.write(bytes(1024))
         out_buf = invoker.alloc_output(1024)
-        for _ in range(20):
+        for _ in range(invocations):
             future = invoker.submit("echo", in_buf, 1024, out_buf)
             result = yield future.wait()
             latencies.append(result.rtt_ns)
@@ -45,6 +45,15 @@ def test_invocation_scenario_bit_identical():
     assert events_processed > 0
     assert final_now > 0
     assert len(latencies) == 20
+
+
+def test_hot_invocation_event_budget():
+    """A hot 1 KiB invocation costs 16 events: 8 on the verbs data path
+    (per WR: nic_tx, head arrival, last byte in, nic_rx; two unsignaled
+    WRITE_WITH_IMMs) and 8 in the invoker and worker."""
+    short, _, _ = _invocation_fingerprint(invocations=20)
+    long, _, _ = _invocation_fingerprint(invocations=120)
+    assert (long - short) / 100 == 16
 
 
 def test_invocation_scenario_bit_identical_with_faults():
