@@ -245,8 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         help="for 'scale' with --pool-policy queue: keep periodic lease "
         "timers in the vectorized struct-of-arrays lane ('on', default) "
         "or run the hop-virtualized batch kernel ('off'); effective only "
-        "with --admission batch on the wheel scheduler (cold and hybrid "
-        "runs always take the batch kernel)",
+        "with --admission batch on the wheel scheduler, and only for "
+        "shards that cannot queue (invocations <= slots): a shard that "
+        "may form a backlog, and every cold or hybrid run, takes the "
+        "batch kernel",
     )
     parser.add_argument(
         "--profile",

@@ -351,7 +351,9 @@ def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
 
 #: The three scale engines every queue-policy scale bench compares: the
 #: per-event heap referee, the hop-virtualized batch kernel, and the
-#: lease-lane kernel (leases as struct-of-arrays slabs).
+#: lane-on engine (leases as struct-of-arrays slabs on shards that cannot
+#: queue; a shard that may queue takes the batch kernel under either
+#: flag).
 _SCALE_CONFIGS = (
     ("heap", "heap", "per-event", "off"),
     ("wheel_nolane", "wheel", "batch", "off"),
@@ -412,9 +414,27 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
     ``lane_speedup`` isolates the lane itself (lane-off / lane-on).
     ``rss_ratio_vs_nolane`` guards the acceptance bound that the lane
     must not buy speed with footprint.
+
+    The quick scenario can queue, so both wheel engines run the batch
+    kernel there.  With *quick* the lane figures (``lane_speedup``,
+    ``rss_ratio_vs_nolane`` and the ``lane_*`` gauges the regression
+    guard reads) therefore come from a second, lane-off/lane-on pair on
+    a shape that cannot queue (``QUICK_UNSATURATED_KWARGS``,
+    invocations <= slots), recorded as ``lane_point``.
     """
     runs = _scale_engines("scale", quick=quick)
     heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+    lane_nolane, lane_wheel = nolane, wheel
+    if quick:
+        from repro.experiments.scale import QUICK_UNSATURATED_KWARGS
+
+        lane_runs = _scale_engines(
+            "scale_lane",
+            quick=True,
+            overrides=QUICK_UNSATURATED_KWARGS,
+            configs=_SCALE_CONFIGS[1:],
+        )
+        lane_nolane, lane_wheel = lane_runs["wheel_nolane"], lane_runs["wheel"]
     record = {
         "heap": heap,
         "wheel_nolane": nolane,
@@ -424,18 +444,25 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
         "events_per_sec": wheel["events_per_sec"],
         "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
         "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "lane_speedup": nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
+        "lane_speedup": (
+            lane_nolane["wall_s"] / lane_wheel["wall_s"] if lane_wheel["wall_s"] else 0.0
+        ),
         "rss_ratio_vs_nolane": (
-            wheel["peak_rss_bytes"] / nolane["peak_rss_bytes"]
-            if nolane["peak_rss_bytes"]
+            lane_wheel["peak_rss_bytes"] / lane_nolane["peak_rss_bytes"]
+            if lane_nolane["peak_rss_bytes"]
             else 0.0
         ),
         "bit_identical": (
             heap["fingerprint"] == wheel["fingerprint"]
             and nolane["fingerprint"] == wheel["fingerprint"]
+            and lane_nolane["fingerprint"] == lane_wheel["fingerprint"]
         ),
     }
     record.update(_occupancy_gauges(wheel["occupancy"]))
+    if quick:
+        record["lane_point"] = {"wheel_nolane": lane_nolane, "wheel": lane_wheel}
+        lane_gauges = _occupancy_gauges(lane_wheel["occupancy"])
+        record.update({k: v for k, v in lane_gauges.items() if k.startswith("lane_")})
     return record
 
 
@@ -1416,13 +1443,14 @@ def show(results: dict[str, Any]) -> None:
             )
         )
         if "lane_speedup" in scale:
+            lane = scale.get("lane_point", scale)
             line += (
                 "\n  lease lane: {lane_speedup:.2f}x vs lane-off "
-                "({nolane_s:.1f}s -> {wheel_s:.1f}s, RSS {rss_ratio:.2f}x, "
+                "({nolane_s:.2f}s -> {wheel_s:.2f}s, RSS {rss_ratio:.2f}x, "
                 "peak {lane_peak:,} entries, max slab {max_slab:,})".format(
                     lane_speedup=scale["lane_speedup"],
-                    nolane_s=scale["wheel_nolane"]["wall_s"],
-                    wheel_s=scale["wheel"]["wall_s"],
+                    nolane_s=lane["wheel_nolane"]["wall_s"],
+                    wheel_s=lane["wheel"]["wall_s"],
                     rss_ratio=scale.get("rss_ratio_vs_nolane", 0.0),
                     lane_peak=scale.get("lane_entries_peak", 0),
                     max_slab=scale.get("lane_max_slab", 0),

@@ -87,7 +87,7 @@ import gc
 import resource
 import time
 from collections import deque
-from heapq import heappop
+from heapq import heappop, heappush
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
@@ -148,9 +148,12 @@ class ScaleConfig:
     scheduler: Optional[str] = "wheel"
     #: Wheel slot width, 2**bits ns, or ``"auto"`` (default): start at
     #: the wheel's own 256 ns granularity and let the occupancy-band
-    #: controller re-anchor to the regime it observes -- the scale
-    #: scenario converges to the hand-tuned 2**16-ish ns within the
-    #: first adaptation window.  Ignored for "heap".
+    #: controller re-anchor to the regime it observes.  The band is
+    #: checked after a window of drained events or of empty-slot
+    #: probes, whichever comes first, so even a short or sparse run
+    #: leaves the start geometry after at most one window of slot
+    #: walking (the scale scenario settles near the hand-tuned
+    #: 2**16 ns).  Ignored for "heap".
     granularity_bits: Union[int, str] = "auto"
     #: Arrival admission: "batch" (default) bucket-sorts whole numpy
     #: arrival chunks into the scheduler via ``schedule_batch``;
@@ -162,8 +165,11 @@ class ScaleConfig:
     #: :class:`~repro.sim.wheel.LeaseLane` and drains them in vectorized
     #: slabs; "off" runs the hop-virtualized batch kernel.  Effective
     #: only for ``scheduler="wheel"`` with batch admission and the
-    #: "queue" policy; "cold" and "hybrid" runs always take the batch
-    #: kernel, and the per-event heap referee ignores the flag.
+    #: "queue" policy, and only on shards that cannot queue
+    #: (invocations <= warm slots): a shard that may form a backlog
+    #: takes the batch kernel whatever the flag says.  "cold" and
+    #: "hybrid" runs always take the batch kernel, and the per-event
+    #: heap referee ignores the flag.
     lease_lane: str = "on"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
@@ -465,6 +471,7 @@ class _OpenLoopDriver:
             "spill",
             "cascades",
             "overflow_inserts",
+            "probes",
             "reanchors",
             "granularity_bits",
             "lane_entries",
@@ -584,8 +591,9 @@ def run_scale(
     Poisson path below is byte-for-byte the PR 4 engine.
 
     ``lease_lane`` picks the LeaseLane kernel ("on") or the batch
-    kernel ("off") for the "queue" pool policy only; "cold" and
-    "hybrid" always run the batch kernel (see
+    kernel ("off") for "queue"-policy shards that cannot queue
+    (invocations <= slots); every other shard, "cold" and "hybrid"
+    included, runs the batch kernel (see
     :attr:`ScaleConfig.lease_lane`).
     """
     validate_granularity_bits(granularity_bits)
@@ -653,16 +661,16 @@ def run_scale(
         driver: Any = _ShardDriver(env, config, 0, 1)
     else:
         driver = _OpenLoopDriver(env, config)
-    driver.start()
-
     # The FSM allocates no reference cycles, so generational GC scans
-    # over ~10^6 live timers are pure overhead; collect once, run with
-    # the collector off, restore afterwards.
+    # over ~10^6 live timers are pure overhead; collect once before the
+    # first arrival chunk exists, build and run with the collector off,
+    # restore afterwards.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    started = time.perf_counter()
     try:
+        driver.start()
+        started = time.perf_counter()
         if profile:
             # Opt-in cProfile wrap of the drive loop only (satellite:
             # keeps "next rung" decisions data-driven).  The tracing
@@ -815,9 +823,10 @@ class _ShardDriver:
       and admits the next chunk when the current one is exhausted.
       ~10^6 Python ``timeout()`` calls per shard collapse into ~16
       numpy passes.  ``start()`` installs one of two fused kernels:
-      the hop-virtualized batch kernel (every pool policy), or, for the
-      queue policy on a wheel with ``lease_lane="on"``, the LeaseLane
-      kernel.
+      the LeaseLane kernel for a queue-policy shard on a wheel with
+      ``lease_lane="on"`` that cannot queue (``count <= free_slots``),
+      else the hop-virtualized batch kernel (every pool policy, and
+      every shard that may form a backlog).
     """
 
     __slots__ = (
@@ -930,14 +939,18 @@ class _ShardDriver:
         if self.free_slots < 1:
             raise ValueError("shard needs at least one warm slot")
         if self._batch:
-            # The LeaseLane (a wheel attachment) still beats hop
-            # virtualization on dense queue-policy bursts; every other
-            # batch run -- cold and hybrid included -- takes the
-            # hop-virtualized batch kernel.
+            # The LeaseLane (a wheel attachment) serves only queue-policy
+            # shards that cannot queue (count <= free slots): there every
+            # completion is a bare counter bump and the lane drains in
+            # vectorized slabs.  Every other batch run -- any shard that
+            # may form a backlog, cold and hybrid included -- takes the
+            # hop-virtualized batch kernel, which dispatches a backlog
+            # without per-completion scalar drains.
             if (
                 self._is_wheel
                 and self.config.lease_lane == "on"
                 and self.config.pool_policy == "queue"
+                and self.count <= self.free_slots
             ):
                 self._install_lane_kernel()
             else:
@@ -1346,35 +1359,37 @@ class _ShardDriver:
         while the ~7 re-validations each live as three int64 cells,
         fired in vectorized slabs between wheel pops.
 
-        Installed for the queue policy only.  Bit-identity with the
-        per-event heap referee (hence with the hop-virtualized batch
-        kernel) holds because:
+        Installed only for queue-policy shards that cannot queue
+        (``count <= free_slots``; :meth:`start` routes every other
+        shard to the batch kernel).  Bit-identity with the per-event
+        heap referee (hence with the hop-virtualized batch kernel)
+        holds because:
 
         * a lease fires ``ceil(service / interval)`` lane entries -- the
           referee's renewal hops plus its completion -- so
           ``events_processed`` agrees;
-        * re-arms have no effects, and a completion with an empty
-          backlog only ever does ``completed += 1; free_slots += 1``,
-          so deferring those callbacks to a counted bulk total
-          commutes, and the eids the lane draws for them (at
-          ``lane.admit``, and one ``reserve_eids`` block per slab
-          re-arm) never reorder an effect;
-        * the lane is drained up to the next wheel entry's ``(when,
-          priority, eid)`` key before that entry is dispatched, so a
-          lease deadline and an arrival at the same nanosecond fire in
-          the per-event order (lane entries at NORMAL, arrivals at
-          ``_ARRIVAL_PRIO``);
-        * while the backlog is non-empty a completion's callback is
-          observable (it pops the backlog, records a sojourn, admits a
-          new lease), so the drain runs its exact scalar path until the
-          backlog drains -- ``exact=backlog`` hands the deque itself to
-          the lane as the switch.
+        * re-arms have no effects, and with no backlog a completion
+          only ever does ``completed += 1; free_slots += 1``, so
+          deferring those callbacks to a counted bulk total commutes,
+          and the eids the lane draws for them (at ``lane.admit``, and
+          one ``reserve_eids`` block per slab re-arm) never reorder an
+          effect;
+        * the lane is drained up to an arrival's ``(when, priority,
+          eid)`` key before a chunk admission draws its eid block, so a
+          lease deadline and an arrival at the same nanosecond keep the
+          per-event order (lane entries at NORMAL, arrivals at
+          ``_ARRIVAL_PRIO``).
 
         The wheel shadowing is simpler than the batch kernel's: no
         lease ever enters the wheel, so there are no inline inserts and
         no ``gbits``/``cursor``/``l0_add`` locals -- only the pop fast
         path over ``active``/``ai`` and the spill/overflow guards.
         """
+        if self.count > self.free_slots:
+            raise ValueError(
+                f"lease-lane kernel needs count <= free slots, got "
+                f"{self.count} invocations on {self.free_slots} slots"
+            )
         env = self.env
         schedule_batch = env.schedule_batch
         interval = self._interval
@@ -1382,7 +1397,6 @@ class _ShardDriver:
         flush = self._flush
         sample = self._sample_wheel
         buffer = self._buffer
-        backlog = self.backlog
         chunks = self._chunks
         total = self.count
         lane = env.attach_lease_lane(interval)
@@ -1392,8 +1406,6 @@ class _ShardDriver:
         free_slots = self.free_slots
         arrived = 0
         completed = 0
-        queued = 0
-        max_backlog = 0
         services: list[int] = []
         nservices = 0
         pos = 0
@@ -1404,24 +1416,14 @@ class _ShardDriver:
         lane_eid = 0
 
         def on_complete(when: int) -> None:
-            """Scalar-exact completion (the lane's drain calls this only
-            on its exact path, where per-completion effects are
-            observable; bulk drains return a count instead)."""
+            """Scalar completion (only a generic ``step``/``run`` fires
+            the lane one entry at a time; the fused loop's bulk drains
+            return a count instead)."""
             nonlocal completed, free_slots
             completed += 1
+            free_slots += 1
             if not completed & 0x3FF:
                 sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(when - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                admit(
-                    when + (service if service <= interval else interval),
-                    when + service,
-                )
-            else:
-                free_slots += 1
 
         lane.on_complete = on_complete
 
@@ -1435,61 +1437,44 @@ class _ShardDriver:
         def on_arrival(event) -> None:
             """Generic-dispatch arrival body (used if anything other
             than the fused loop pops an arrival; the loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid
+            nonlocal pos, arrived, free_slots, lane_dl, lane_eid
             now = env._now
             service = services[pos]
             pos += 1
             arrived += 1
             if pos == nservices and arrived < total:
                 admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                when = now + (service if service <= interval else interval)
-                eid = admit(when, now + service)
-                if lane_dl < 0 or when < lane_dl or (when == lane_dl and eid < lane_eid):
-                    lane_dl = when
-                    lane_eid = eid
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
+            free_slots -= 1
+            buffer.append(service)
+            if len(buffer) >= flush_batch:
+                flush()
+            when = now + (service if service <= interval else interval)
+            eid = admit(when, now + service)
+            if lane_dl < 0 or when < lane_dl or (when == lane_dl and eid < lane_eid):
+                lane_dl = when
+                lane_eid = eid
 
         def drive() -> None:
             """Fused loop: wheel pop fast path + deferred lane drains.
 
-            While the backlog is empty, due lease fires are *deferred*
-            past arrival dispatches: a pending completion could only
-            raise ``free_slots`` (which an already-dispatchable arrival
-            never observes) and a re-arm touches nothing outside the
-            lane, so postponing them is observably identical -- and it
-            batches what would be 1-3 fires per arrival into one slab
-            per deferral window.  The three points where deferral would
-            become observable force a catch-up drain first:
+            Due lease fires are *deferred* past arrival dispatches: a
+            pending completion could only raise ``free_slots`` (which
+            an arrival never observes -- no shard routed here can run
+            dry) and a re-arm touches nothing outside the lane, so
+            postponing them is observably identical -- and it batches
+            what would be 1-3 fires per arrival into one slab per
+            deferral window.  Two points force a catch-up drain:
 
-            * an arrival finding ``free_slots == 0`` (pending
-              completions might have freed a slot; drain up to the
-              arrival's key, then re-check);
             * a chunk admission (it draws a block of wheel eids, and
               deferred lane draws must not cross it or later
               lease-vs-arrival ties at equal nanoseconds would break
               the other way);
             * the wheel running dry (the tail drain).
 
-            While the backlog is non-empty every completion is
-            observable (it pops the backlog), so the lane drains to
-            exact per-event order before *every* wheel entry, scalar
-            while the deque is non-empty (``exact=backlog``).
-
             Deferral permutes eid draws only among lane-internal
             entries between two chunk admissions; lane-vs-lane ties at
             equal deadlines have commuting effects (completions count,
-            re-arms are invisible, and tied backlog handoffs pop the
-            same FIFO either way), so every fingerprint observable is
+            re-arms are invisible), so every fingerprint observable is
             bit-identical to per-event execution.
 
             ``env._now``/``env._ai`` are synced before every call that
@@ -1498,8 +1483,7 @@ class _ShardDriver:
             never touch wheel structures, so the shadowed pop state
             stays valid across them.
             """
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid
+            nonlocal pos, arrived, completed, free_slots, lane_dl, lane_eid
             pop = env._pop
             spill = env._spill
             overflow = env._queue
@@ -1542,11 +1526,10 @@ class _ShardDriver:
                                 # call drains every remaining lease
                                 # generation to completion.
                                 before = completed
-                                fired, bulk, last = drain(None, 0, 0, backlog or None, False)
+                                fired, bulk, last = drain(None, 0, 0, None, False)
                                 processed += fired
-                                if bulk:
-                                    completed += bulk
-                                    free_slots += bulk
+                                completed += bulk
+                                free_slots += bulk
                                 if last > now:
                                     now = last
                                 env._now = now
@@ -1560,31 +1543,6 @@ class _ShardDriver:
                         clear = not spill and not overflow
                     when = entry[0]
                     prio = entry[1]
-                    if backlog and lane_dl >= 0 and (
-                        lane_dl < when
-                        or (
-                            lane_dl == when
-                            and (prio > 1 or (prio == 1 and lane_eid < entry[2]))
-                        )
-                    ):
-                        env._ai = ai
-                        env._now = now
-                        before = completed
-                        fired, bulk, last = drain(when, prio, entry[2], backlog or None, False)
-                        processed += fired
-                        if bulk:
-                            completed += bulk
-                            free_slots += bulk
-                        if last > now:
-                            now = last
-                        head = head_key()
-                        if head is None:
-                            lane_dl = -1
-                        else:
-                            lane_dl, lane_eid = head
-                        if (before >> 10) != (completed >> 10):
-                            env._now = now
-                            sample()
                     event = entry[3]
                     now = when
                     processed += 1
@@ -1605,13 +1563,10 @@ class _ShardDriver:
                                 # chunk draws its eid block.
                                 env._ai = ai
                                 before = completed
-                                fired, bulk, _last = drain(
-                                    now, prio, entry[2], backlog or None, False
-                                )
+                                fired, bulk, _last = drain(now, prio, entry[2], None, False)
                                 processed += fired
-                                if bulk:
-                                    completed += bulk
-                                    free_slots += bulk
+                                completed += bulk
+                                free_slots += bulk
                                 head = head_key()
                                 if head is None:
                                     lane_dl = -1
@@ -1624,54 +1579,19 @@ class _ShardDriver:
                             env._ai = ai
                             admit_chunk()
                             clear = not spill and not overflow
-                        if not free_slots and lane_dl >= 0 and (
-                            lane_dl < now
-                            or (
-                                lane_dl == now
-                                and (prio > 1 or lane_eid < entry[2])
-                            )
-                        ):
-                            # Saturation check: deferred completions may
-                            # have freed a slot; catch up, then re-test.
+                        free_slots -= 1
+                        buffer.append(service)
+                        if len(buffer) >= flush_batch:
+                            env._now = now
                             env._ai = ai
-                            before = completed
-                            fired, bulk, _last = drain(
-                                now, prio, entry[2], backlog or None, False
-                            )
-                            processed += fired
-                            if bulk:
-                                completed += bulk
-                                free_slots += bulk
-                            head = head_key()
-                            if head is None:
-                                lane_dl = -1
-                            else:
-                                lane_dl, lane_eid = head
-                            if (before >> 10) != (completed >> 10):
-                                env._now = now
-                                sample()
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                env._now = now
-                                env._ai = ai
-                                flush()
-                            lease_when = now + (
-                                service if service <= interval else interval
-                            )
-                            eid = admit(lease_when, now + service)
-                            if lane_dl < 0 or lease_when < lane_dl or (
-                                lease_when == lane_dl and eid < lane_eid
-                            ):
-                                lane_dl = lease_when
-                                lane_eid = eid
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
+                            flush()
+                        lease_when = now + (service if service <= interval else interval)
+                        eid = admit(lease_when, now + service)
+                        if lane_dl < 0 or lease_when < lane_dl or (
+                            lease_when == lane_dl and eid < lane_eid
+                        ):
+                            lane_dl = lease_when
+                            lane_eid = eid
                         continue
                     # Foreign event: full generic run-loop semantics.
                     env._now = now
@@ -1701,8 +1621,6 @@ class _ShardDriver:
         def sync() -> None:
             self.arrived = arrived
             self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
             self.free_slots = free_slots
 
         self._on_arrival = on_arrival
@@ -1923,13 +1841,13 @@ def _run_shard(
     env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
     env = new_environment(config.scheduler, **env_kwargs)
     driver = _ShardDriver(env, config, shard, shards)
-    driver.start()
 
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    started = time.perf_counter()
     try:
+        driver.start()
+        started = time.perf_counter()
         driver.drive()
     finally:
         if gc_was_enabled:
@@ -2928,6 +2846,17 @@ class _TenantDriver:
                             else:
                                 active[ai] = None
                                 ai += 1
+                    elif spill:
+                        # Active slot drained: spill entries precede all
+                        # of level 0/1, so the spill head (or an earlier
+                        # overflow head) is next -- _pop's rule, inlined
+                        # for sparse calendars whose completions land in
+                        # their arrival's slot.
+                        if overflow and overflow[0] < spill[0]:
+                            entry = heappop(overflow)
+                        else:
+                            entry = heappop(spill)
+                        clear = not spill and not overflow
                     else:
                         env._ai = ai
                         env._now = now
@@ -3004,6 +2933,11 @@ class _TenantDriver:
                         if 0 < d0 <= mask0:
                             slots0[s0 & mask0].append((when, 1, eidn(), event))
                             l0_add += 1
+                        elif d0 <= 0:
+                            # Same slot as now: the spill heap, exactly
+                            # as schedule_timeout would file it.
+                            heappush(spill, (when, 1, eidn(), event))
+                            clear = False
                         else:
                             env._now = now
                             env._ai = ai
@@ -3081,6 +3015,11 @@ class _TenantDriver:
                         if 0 < d0 <= mask0:
                             slots0[s0 & mask0].append((when, 1, eidn(), event))
                             l0_add += 1
+                        elif d0 <= 0:
+                            # Same slot as now: the spill heap, exactly
+                            # as schedule_timeout would file it.
+                            heappush(spill, (when, 1, eidn(), event))
+                            clear = False
                         else:
                             env._now = now
                             env._ai = ai
@@ -3347,13 +3286,13 @@ def _run_tenant_shard(
     env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
     env = new_environment(config.scheduler, **env_kwargs)
     driver = _TenantDriver(env, config, shard, shards)
-    driver.start()
 
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    started = time.perf_counter()
     try:
+        driver.start()
+        started = time.perf_counter()
         driver.drive()
     finally:
         if gc_was_enabled:

@@ -58,9 +58,21 @@ A fixed slot width must be hand-tuned per regime (256 ns suits the
 microsecond RDMA harnesses, ~65 us the scale engine's millisecond
 leases).  In auto mode the wheel watches counters its hot paths touch
 anyway -- events drained, empty-slot probes, cascades, overflow inserts
--- and every ``_ADAPT_WINDOW`` drained events checks them against an
-occupancy band.  Out of band, it *re-anchors*: at a quiescent cursor
-boundary (active bucket drained, spill empty -- exactly ``_refill``'s
+-- and checks them against an occupancy band once ``_ADAPT_WINDOW``
+events have drained *or* ``_ADAPT_WINDOW`` empty slots have been
+probed, whichever comes first.  The probe budget is what lets a sparse
+calendar adapt: a run with fewer events than one window (a multi-tenant
+mix spread over minutes of simulated time) would otherwise walk empty
+256 ns slots for its whole life.  A dry wheel (nothing pending) that
+is handed a chunk its geometry cannot hold -- the last deadline lies
+past the level-1 horizon -- sizes its slots from the chunk itself
+before filing it, so a long sparse arrival stream never starts in the
+overflow heap.  :meth:`WheelEnvironment.occupancy` publishes the
+lifetime ``probes`` count next to ``cascades`` and
+``overflow_inserts``, so a slot-walk cliff shows in every result.
+
+Out of band, the wheel *re-anchors*: at a quiescent cursor boundary
+(active bucket drained, spill empty -- exactly ``_refill``'s
 precondition) every pending entry is re-filed under a granularity
 sized from the pending-deadline horizon.  Entries are geometry-free
 ``(when, priority, eid, event)`` tuples, so re-anchoring can never
@@ -134,7 +146,8 @@ _AUTO_INITIAL_BITS = 8
 #: 2**40 ns slots (~18 min) is already absurdly coarse for this
 #: simulator's nanosecond clock.
 MAX_GRANULARITY_BITS = 40
-#: Drained events between occupancy-band evaluations.
+#: Drained events, or empty-slot probes, between occupancy-band
+#: evaluations (whichever budget runs out first).
 _ADAPT_WINDOW = 1 << 15
 #: Back-off ceiling when the band says "bad" but no better geometry
 #: exists (e.g. genuinely bimodal deadlines): evaluations get rarer
@@ -923,6 +936,7 @@ class WheelEnvironment(Environment):
         "_l1_count",
         "cascades",
         "overflow_inserts",
+        "probes",
         "_adaptive",
         "_adapt_window",
         "_adapt_drained",
@@ -985,6 +999,9 @@ class WheelEnvironment(Environment):
         self.cascades = 0
         #: Entries that bypassed the wheel into the overflow heap.
         self.overflow_inserts = 0
+        #: Level-0 slots the cursor walked in ``_refill`` (lifetime);
+        #: far above the events drained means a slot-walk cliff.
+        self.probes = 0
         #: Optional :class:`LeaseLane` side calendar (see attach_lease_lane).
         self._lane: Optional[LeaseLane] = None
 
@@ -1104,14 +1121,24 @@ class WheelEnvironment(Environment):
             raise ValueError(f"batch deadline {int(arr[0])} is in the past (now={now})")
         if n > 1 and bool((arr[1:] < arr[:-1]).any()):
             raise ValueError("batch deadlines must be non-decreasing")
-        # Dry wheel + stale cursor: re-anchor first (mirrors _insert) so
-        # an overflow-only past does not leak the chunk to the heap.
-        if (
-            self._cursor < now >> self._gbits
-            and not (self._l0_count or self._l1_count or self._spill)
-            and self._ai >= len(self._active)
+        if not (self._l0_count or self._l1_count or self._spill) and self._ai >= len(
+            self._active
         ):
-            self._cursor = now >> self._gbits
+            # Dry wheel + stale cursor: re-anchor first (mirrors _insert)
+            # so an overflow-only past does not leak the chunk to the heap.
+            if self._cursor < now >> self._gbits:
+                self._cursor = now >> self._gbits
+            # A dry adaptive wheel whose geometry cannot hold the chunk
+            # (its last deadline lies past the level-1 horizon) sizes its
+            # slots from the chunk itself -- the quiescent boundary is
+            # trivially met, and re-filing never changes the pop order.
+            last = int(arr[-1]) >> self._gbits >> self._sbits0
+            if self._adaptive and last - (self._cursor >> self._sbits0) > self._mask1:
+                bits = self._bits_for(arr)
+                if bits > self._gbits:
+                    self._reanchor(bits)
+                    self._reset_adaptation()
+                    self._adapt_window = _ADAPT_WINDOW
         gbits = self._gbits
         sbits0 = self._sbits0
         cursor = self._cursor
@@ -1233,6 +1260,7 @@ class WheelEnvironment(Environment):
             bucket.sort()
         self._active = bucket
         self._ai = 0
+        self.probes += probes
         if self._adaptive:
             self._adapt_drained += len(bucket)
             self._adapt_refills += 1
@@ -1271,12 +1299,18 @@ class WheelEnvironment(Environment):
                 return heappop(spill)
             if not (self._l0_count or self._l1_count):
                 return heappop(self._queue)
-            if self._adaptive and self._adapt_drained >= self._adapt_window:
+            if self._adaptive and (
+                self._adapt_drained >= self._adapt_window
+                or self._adapt_probes >= self._adapt_window
+            ):
                 # Quiescent cursor boundary (active drained, spill
                 # empty): the only point where re-filing every pending
                 # entry under a new granularity is safe and cheap to
-                # reason about.  Loop back afterwards -- a re-anchor
-                # may have moved everything into spill or overflow.
+                # reason about.  The probe budget triggers it too, so
+                # a sparse calendar adapts after a window of empty-slot
+                # walking even if it never drains a window of events.
+                # Loop back afterwards -- a re-anchor may have moved
+                # everything into spill or overflow.
                 self._maybe_reanchor()
                 continue
             self._refill()
@@ -1312,7 +1346,10 @@ class WheelEnvironment(Environment):
             if not (self._l0_count or self._l1_count):
                 overflow = self._queue
                 return overflow[0][:3] if overflow else None
-            if self._adaptive and self._adapt_drained >= self._adapt_window:
+            if self._adaptive and (
+                self._adapt_drained >= self._adapt_window
+                or self._adapt_probes >= self._adapt_window
+            ):
                 self._maybe_reanchor()
                 continue
             self._refill()
@@ -1336,11 +1373,7 @@ class WheelEnvironment(Environment):
         probes = self._adapt_probes
         cascaded = self._adapt_cascaded
         overflowed = self.overflow_inserts - self._adapt_overflow_mark
-        self._adapt_drained = 0
-        self._adapt_refills = 0
-        self._adapt_probes = 0
-        self._adapt_cascaded = 0
-        self._adapt_overflow_mark = self.overflow_inserts
+        self._reset_adaptation()
         too_fine = (cascaded + overflowed) * 2 > drained
         too_sparse = probes > drained * _ADAPT_PROBE_FACTOR
         too_coarse = bool(refills) and drained > refills * _ADAPT_BUCKET_MAX
@@ -1356,6 +1389,15 @@ class WheelEnvironment(Environment):
             return
         self._reanchor(target)
         self._adapt_window = _ADAPT_WINDOW
+
+    def _reset_adaptation(self) -> None:
+        """Start a fresh adaptation window: the band judges a geometry
+        only on counters gathered under it."""
+        self._adapt_drained = 0
+        self._adapt_refills = 0
+        self._adapt_probes = 0
+        self._adapt_cascaded = 0
+        self._adapt_overflow_mark = self.overflow_inserts
 
     def _target_bits(self) -> int:
         """Granularity fitting the *current* pending-deadline horizon.
@@ -1377,8 +1419,11 @@ class WheelEnvironment(Environment):
         extend(entry[0] for entry in self._queue)
         if not whens:
             return self._gbits
-        horizons = np.asarray(whens, dtype=np.int64) - self._now
-        span = int(np.quantile(horizons, 0.90))
+        return self._bits_for(np.asarray(whens, dtype=np.int64))
+
+    def _bits_for(self, whens: Any) -> int:
+        """Granularity sized for the deadlines *whens* (int64 array)."""
+        span = int(np.quantile(whens - self._now, 0.90))
         if span < 1:
             span = 1
         g_span = span.bit_length() - self._sbits0
@@ -1488,6 +1533,7 @@ class WheelEnvironment(Environment):
             "heap": len(self._queue),
             "cascades": self.cascades,
             "overflow_inserts": self.overflow_inserts,
+            "probes": self.probes,
             "reanchors": self.reanchors,
             "granularity_bits": self._gbits,
         }

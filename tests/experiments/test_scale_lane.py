@@ -4,8 +4,11 @@ The acceptance contract: ``lease_lane="on"`` must produce fingerprints
 bit-identical to ``lease_lane="off"`` (the PR 6 batch kernel) and to
 the per-event heap referee -- across all three arrival shapes, under
 adaptive re-anchors, saturated and unsaturated, and across K-shard
-decompositions.  Plus the CLI/config validation boundary, the
-``--profile`` path, and the bench guard's lane gauge.
+decompositions.  The lane serves only shards that cannot queue
+(invocations <= slots); saturated shards take the batch kernel under
+either flag value, which the routing tests pin.  Plus the CLI/config
+validation boundary, the ``--profile`` path, and the bench guard's lane
+gauge.
 """
 
 import json
@@ -13,12 +16,21 @@ import json
 import pytest
 
 from repro.experiments.bench import check_regression
-from repro.experiments.scale import run_scale, run_scale_sharded
+from repro.experiments.scale import (
+    QUICK_KWARGS,
+    ScaleConfig,
+    _ShardDriver,
+    run_scale,
+    run_scale_sharded,
+)
 from repro.sim.clock import us
+from repro.sim.wheel import WheelEnvironment
 
-#: Saturating: the backlog (exact scalar drain) path runs.
+#: Saturating: the shard can queue, so lease_lane="on" routes it to
+#: the hop-virtualized batch kernel (the lane is never attached).
 SATURATED = {"invocations": 6_000, "workers": 1_024, "mean_arrival_gap_ns": us(25)}
-#: Unsaturated: pure deferred/vectorized regime.
+#: Unsaturated (invocations <= slots): the lane's deferred/vectorized
+#: regime, the only one it serves.
 UNSATURATED = {"invocations": 3_000, "workers": 4_096, "mean_arrival_gap_ns": us(25)}
 
 
@@ -35,6 +47,30 @@ def test_lane_identity_across_shapes(shape, load):
     on = _fp(scheduler="wheel", admission="batch", lease_lane="on", **kwargs)
     assert heap == off
     assert off == on
+
+
+def test_lane_serves_only_shards_that_cannot_queue():
+    # 10^4 invocations on 2,048 slots queue: lease_lane="on" must route
+    # the shard to the batch kernel and still match the heap referee.
+    routed = run_scale(lease_lane="on", **QUICK_KWARGS)
+    assert routed.queued > 0
+    assert routed.occupancy["lane_entries_peak"] == 0
+    heap = _fp(scheduler="heap", admission="per-event", **QUICK_KWARGS)
+    assert routed.fingerprint() == heap
+    # invocations <= slots: the lane is attached.
+    unsat = run_scale(lease_lane="on", **UNSATURATED)
+    assert unsat.occupancy["lane_entries_peak"] > 0
+
+
+def test_lane_kernel_rejects_shards_that_can_queue():
+    driver = _ShardDriver(
+        WheelEnvironment(granularity_bits="auto"),
+        ScaleConfig(admission="batch", **SATURATED),
+        shard=0,
+        shards=1,
+    )
+    with pytest.raises(ValueError, match="count <= free slots"):
+        driver._install_lane_kernel()
 
 
 def test_lane_identity_under_forced_reanchors():

@@ -93,6 +93,67 @@ def test_auto_matches_fixed_geometry_bit_for_bit():
     assert _run_regime_workload(auto, 3) == _run_regime_workload(fixed, 3)
 
 
+def _run_sparse_chain(env, seed, events=5_000):
+    """One self-chaining timer with 10-100 ms gaps: far fewer events
+    than one adaptation window, spread over ~275 simulated seconds."""
+    rng = random.Random(seed)
+    fired = []
+
+    def callback(event):
+        fired.append(env.now)
+        if len(fired) < events:
+            env.timeout(rng.randrange(10_000_000, 100_000_000)).callbacks.append(callback)
+
+    env.timeout(0).callbacks.append(callback)
+    env.run()
+    return fired
+
+
+def test_sparse_calendar_reanchors_on_probe_budget():
+    # At the 256 ns start geometry each event costs ~50 window-skip
+    # probes; the probe budget must trigger the band check even though
+    # only 5,000 events (well under one adaptation window) ever drain.
+    auto = WheelEnvironment(granularity_bits="auto")
+    fired = _run_sparse_chain(auto, 5)
+    assert fired == _run_sparse_chain(Environment(), 5)
+    occ = auto.occupancy()
+    assert occ["reanchors"] >= 1
+    assert occ["granularity_bits"] > _AUTO_INITIAL_BITS
+    assert occ["probes"] == auto.probes <= 16 * len(fired)
+
+
+def test_dry_wheel_sizes_geometry_from_a_sparse_chunk():
+    # 3,000 deadlines over ~100 s overflow the 256 ns start geometry's
+    # ~1 s horizon; a dry auto wheel re-anchors to the chunk first.
+    rng = random.Random(9)
+    times = sorted(rng.randrange(0, 100_000_000_000) for _ in range(3_000))
+    auto = WheelEnvironment(granularity_bits="auto")
+    auto.schedule_batch(np.asarray(times, dtype=np.int64), lambda e: None)
+    occ = auto.occupancy()
+    assert occ["reanchors"] == 1 and occ["heap"] == 0 and occ["overflow_inserts"] == 0
+    assert occ["granularity_bits"] > _AUTO_INITIAL_BITS
+    fixed = WheelEnvironment()
+    fixed.schedule_batch(np.asarray(times, dtype=np.int64), lambda e: None)
+    assert fixed.occupancy()["heap"] > 0  # a fixed geometry is left alone
+    assert _drain_admitted(WheelEnvironment(granularity_bits="auto"), times, True) == (
+        _drain_admitted(Environment(), times, False)
+    )
+
+
+def test_dry_wheel_reanchor_starts_a_fresh_adaptation_window():
+    # Counters gathered under the old geometry must not judge the new one.
+    auto = WheelEnvironment(granularity_bits="auto")
+    for k in range(100):
+        auto.timeout(1_000 * (k + 1))
+    auto.run()
+    assert auto.reanchors == 0 and auto._adapt_probes > 0 and auto._adapt_drained > 0
+    rng = random.Random(3)
+    times = sorted(auto.now + rng.randrange(0, 100_000_000_000) for _ in range(1_000))
+    auto.schedule_batch(np.asarray(times, dtype=np.int64), lambda e: None)
+    assert auto.reanchors == 1
+    assert auto._adapt_probes == auto._adapt_drained == auto._adapt_cascaded == 0
+
+
 # -- batch admission == per-event admission ----------------------------
 
 
